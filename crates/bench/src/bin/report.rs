@@ -42,7 +42,7 @@ fn parse_digest(text: &str) -> u64 {
 }
 
 fn find_by_digest(db: &StudyDb, digest: u64) -> (StudyRecord, Characterization) {
-    let Some(record) = db.records().into_iter().rev().find(|r| r.digest == digest) else {
+    let Some(record) = db.find_by_digest(digest) else {
         eprintln!("report: no record with digest {digest:016x}");
         std::process::exit(1);
     };
@@ -54,7 +54,7 @@ fn find_by_digest(db: &StudyDb, digest: u64) -> (StudyRecord, Characterization) 
 }
 
 fn list(db: &StudyDb) {
-    let records = db.records();
+    let records = db.entries();
     mwc_bench::header("Study database");
     println!("db: {} ({} records)", db.path().display(), records.len());
     println!();

@@ -461,24 +461,27 @@ impl StudyCache {
             self.bump("cache.mem_hits", |s| s.mem_hits += 1);
             return Ok(hit);
         }
-        if let Some(study) = self.load_study(key) {
+        if let Some((study, digest)) = self.load_study(key) {
             let study = Arc::new(study);
-            self.index_study(key, &study);
+            self.index_study(key, &study, digest);
             return Ok(study);
         }
         self.bump("cache.misses", |s| s.misses += 1);
         let study = Arc::new(crate::stages::execute_with(exec, spec, Some(self))?);
-        self.persist("study", key, &encode_study(key, &study));
-        self.index_study(key, &study);
+        // One digest pass serves the entry header and the digest index.
+        let digest = study.digest();
+        self.persist("study", key, &encode_digested_study(key, &study, digest));
+        self.index_study(key, &study, digest);
         Ok(study)
     }
 
-    /// Insert a study into the memory layer and the digest index.
-    fn index_study(&self, key: u64, study: &Arc<Characterization>) {
+    /// Insert a study, whose [`Characterization::digest`] is `digest`,
+    /// into the memory layer and the digest index.
+    fn index_study(&self, key: u64, study: &Arc<Characterization>, digest: u64) {
         self.by_digest
             .lock()
             .expect("digest index lock poisoned")
-            .insert(study.digest(), key);
+            .insert(digest, key);
         self.studies
             .lock()
             .expect("study cache lock poisoned")
@@ -612,15 +615,16 @@ impl StudyCache {
             .map(|d| d.join(format!("{kind}-{key:016x}.mwcc")))
     }
 
-    /// Read and validate a study entry; any defect is a miss, never an
-    /// error. A corrupt entry is deleted so the recompute re-stores it.
-    fn load_study(&self, key: u64) -> Option<Characterization> {
+    /// Read and validate a study entry, returning it with its verified
+    /// digest; any defect is a miss, never an error. A corrupt entry is
+    /// deleted so the recompute re-stores it.
+    fn load_study(&self, key: u64) -> Option<(Characterization, u64)> {
         let path = self.entry_path("study", key)?;
         let bytes = fs::read(&path).ok()?;
-        match decode_study(key, &bytes) {
-            Some(study) => {
+        match decode_verified_study(key, &bytes) {
+            Some(hit) => {
                 self.bump("cache.disk_hits", |s| s.disk_hits += 1);
-                Some(study)
+                Some(hit)
             }
             None => {
                 self.bump("cache.corrupt_entries", |s| s.corrupt_entries += 1);
@@ -994,11 +998,16 @@ fn encode_profile(e: &mut Enc, p: &UnitProfile) {
 }
 
 pub(crate) fn encode_study(key: u64, study: &Characterization) -> Vec<u8> {
+    encode_digested_study(key, study, study.digest())
+}
+
+/// [`encode_study`] for a caller that already holds `study.digest()`.
+fn encode_digested_study(key: u64, study: &Characterization, digest: u64) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     e.raw(STUDY_MAGIC);
     e.u32(CACHE_SCHEMA_VERSION);
     e.u64(key);
-    e.u64(study.digest());
+    e.u64(digest);
     e.usize(study.profiles.len());
     for p in &study.profiles {
         encode_profile(&mut e, p);
@@ -1018,7 +1027,12 @@ fn decode_series(d: &mut Dec<'_>) -> Option<TimeSeries> {
     if len > d.remaining() / 8 {
         return None;
     }
-    let values = (0..len).map(|_| d.f64()).collect::<Option<Vec<_>>>()?;
+    // One bounds check for the whole series, not one per sample.
+    let values = d
+        .take(len * 8)?
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        .collect();
     Some(TimeSeries::new(tick_seconds, values))
 }
 
@@ -1096,6 +1110,11 @@ fn decode_profile(d: &mut Dec<'_>) -> Option<UnitProfile> {
 /// unless the buffer fully parses under `expected_key` and the rebuilt
 /// study's digest matches the digest stored at encode time.
 pub(crate) fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characterization> {
+    decode_verified_study(expected_key, bytes).map(|(study, _)| study)
+}
+
+/// [`decode_study`], also returning the digest it verified.
+fn decode_verified_study(expected_key: u64, bytes: &[u8]) -> Option<(Characterization, u64)> {
     let mut d = Dec::new(bytes);
     if d.take(4)? != STUDY_MAGIC {
         return None;
@@ -1137,7 +1156,7 @@ pub(crate) fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characteri
             failed_units,
         },
     };
-    (study.digest() == stored_digest).then_some(study)
+    (study.digest() == stored_digest).then_some((study, stored_digest))
 }
 
 /// Artifact payload tags (after magic/version/key): a failed capture
@@ -1503,7 +1522,8 @@ mod tests {
         cache.persist("study", key, &encode_study(key, &study));
         assert_eq!(cache.stats().stores, 1);
 
-        let loaded = cache.load_study(key).expect("warm entry loads");
+        let (loaded, digest) = cache.load_study(key).expect("warm entry loads");
+        assert_eq!(digest, study.digest());
         assert_eq!(loaded.digest(), study.digest());
         assert_eq!(cache.stats().disk_hits, 1);
 
@@ -1660,7 +1680,7 @@ mod tests {
                 let cache = std::sync::Arc::clone(&cache);
                 s.spawn(move || {
                     for _ in 0..200 {
-                        if let Some(study) = cache.load_study(key) {
+                        if let Some((study, _)) = cache.load_study(key) {
                             assert!(
                                 digests.contains(&study.digest()),
                                 "read a study no writer produced"
@@ -1685,7 +1705,7 @@ mod tests {
     fn digest_index_finds_studies_and_misses_unknown() {
         let cache = StudyCache::in_memory();
         let study = Arc::new(tiny_study());
-        cache.index_study(11, &study);
+        cache.index_study(11, &study, study.digest());
         let found = cache
             .study_by_digest(study.digest())
             .expect("indexed study is findable");

@@ -65,5 +65,5 @@ pub use exec::{Exec, LocalExec, SubprocessExec};
 pub use features::FeatureSet;
 pub use pipeline::{Characterization, DegradationReport, UnitProfile};
 pub use spec::{StudySpec, UnitSelection};
-pub use studydb::{StudyDb, StudyRecord};
+pub use studydb::{RecordMeta, StudyDb, StudyRecord};
 pub use wire::{from_wire, to_wire, to_wire_with_threads, WireError};

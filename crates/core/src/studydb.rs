@@ -29,12 +29,45 @@
 //! study re-verifies the stored digest — corruption degrades to a
 //! recompute, never to wrong results. Duplicate `(study_key, digest)`
 //! pairs are dropped at append time.
+//!
+//! ## The in-memory index
+//!
+//! A handle keeps an index of the file, built by the scan [`StudyDb::open`]
+//! does: for every record whose checksum verifies, its offset, framed
+//! length, checksum and metadata (everything but the encoded study),
+//! plus the latest record per `study_key` and the `(study_key, digest)`
+//! dedup set. The scan streams each payload through the checksum and
+//! keeps only the metadata, so opening a DB costs one read of the file
+//! and memory proportional to the number of records, not their size.
+//!
+//! * **Lookup cost.** [`StudyDb::find`] and [`StudyDb::find_by_digest`]
+//!   read exactly one record: they seek to the indexed offset and
+//!   re-verify magic, version, length and checksum before decoding.
+//!   [`StudyDb::entries`], [`StudyDb::len`] and the dedup check read no
+//!   record at all.
+//! * **Tail refresh.** Other processes may append to the same file.
+//!   Every call first checks the file length and the last indexed
+//!   record's stored checksum. A grown file is scanned from the first
+//!   byte not yet parsed — a record another writer has only half
+//!   written is left unparsed and picked up once it is complete. A file
+//!   that shrank, or whose last indexed record changed, is re-indexed
+//!   from the start.
+//! * **Fallback.** If an indexed record fails verification when it is
+//!   read (the file was damaged after it was indexed), the lookup
+//!   re-indexes the whole file and retries once. Lookups therefore
+//!   return what a full scan would: the most recent intact record, or
+//!   `None`.
+//!
+//! Appends through one handle are serialised by the index lock; the
+//! index learns the new record's offset from the write itself, and a
+//! pair is marked seen only once its record is on disk.
 
-use std::collections::HashSet;
-use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::cache::{decode_study, encode_study};
@@ -46,13 +79,19 @@ pub const STUDY_DB_ENV: &str = "MWC_STUDY_DB";
 
 const RECORD_MAGIC: &[u8; 4] = b"MWDB";
 const RECORD_VERSION: u32 = 1;
+/// Magic, version and payload length.
+const HEADER: usize = 4 + 4 + 8;
+/// Trailing payload checksum.
+const TRAILER: usize = 8;
 /// Upper bound on one record's payload; larger lengths are treated as
 /// corruption while scanning.
 const MAX_RECORD: u64 = 1 << 30;
+/// Read size of the index scan.
+const SCAN_CHUNK: usize = 64 * 1024;
 
-/// One persisted study run.
-#[derive(Debug, Clone)]
-pub struct StudyRecord {
+/// Everything a record holds except the encoded study.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordMeta {
     /// Content key of the spec ([`StudySpec::study_key`]).
     pub study_key: u64,
     /// Result fingerprint ([`Characterization::digest`]).
@@ -70,8 +109,54 @@ pub struct StudyRecord {
     /// The spec in wire form (empty when the platform is not a preset
     /// the wire format can name).
     pub spec_wire: String,
+}
+
+impl RecordMeta {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.study_key.to_le_bytes());
+        out.extend_from_slice(&self.digest.to_le_bytes());
+        out.extend_from_slice(&self.elapsed_ns.to_le_bytes());
+        out.extend_from_slice(&self.recorded_unix.to_le_bytes());
+        out.extend_from_slice(&self.units.to_le_bytes());
+        out.extend_from_slice(&self.failed_units.to_le_bytes());
+        out.extend_from_slice(&(self.exec.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.exec.as_bytes());
+        out.extend_from_slice(&(self.spec_wire.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.spec_wire.as_bytes());
+    }
+
+    /// Read the metadata and the following `study_len` from the front
+    /// of a payload. `None` when the bytes do not parse.
+    fn read_from(r: &mut impl Read) -> Option<(RecordMeta, u64)> {
+        let meta = RecordMeta {
+            study_key: read_u64(r)?,
+            digest: read_u64(r)?,
+            elapsed_ns: read_u64(r)?,
+            recorded_unix: read_u64(r)?,
+            units: read_u32(r)?,
+            failed_units: read_u32(r)?,
+            exec: read_string(r)?,
+            spec_wire: read_string(r)?,
+        };
+        Some((meta, read_u64(r)?))
+    }
+}
+
+/// One persisted study run: its [`RecordMeta`] (reachable through
+/// `Deref`) and the encoded study.
+#[derive(Debug, Clone)]
+pub struct StudyRecord {
+    meta: RecordMeta,
     /// The encoded study (cache codec).
     payload: Vec<u8>,
+}
+
+impl Deref for StudyRecord {
+    type Target = RecordMeta;
+
+    fn deref(&self) -> &RecordMeta {
+        &self.meta
+    }
 }
 
 impl StudyRecord {
@@ -85,17 +170,19 @@ impl StudyRecord {
         let study_key = spec.study_key();
         let report = study.report();
         StudyRecord {
-            study_key,
-            digest: study.digest(),
-            elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            recorded_unix: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-            units: study.profiles().len() as u32,
-            failed_units: report.failed_units.len() as u32,
-            exec: exec.into(),
-            spec_wire: crate::wire::to_wire(spec).unwrap_or_default(),
+            meta: RecordMeta {
+                study_key,
+                digest: study.digest(),
+                elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
+                recorded_unix: SystemTime::now()
+                    .duration_since(UNIX_EPOCH)
+                    .map(|d| d.as_secs())
+                    .unwrap_or(0),
+                units: study.profiles().len() as u32,
+                failed_units: report.failed_units.len() as u32,
+                exec: exec.into(),
+                spec_wire: crate::wire::to_wire(spec).unwrap_or_default(),
+            },
             payload: encode_study(study_key, study),
         }
     }
@@ -108,20 +195,11 @@ impl StudyRecord {
 
     fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(64 + self.payload.len());
-        payload.extend_from_slice(&self.study_key.to_le_bytes());
-        payload.extend_from_slice(&self.digest.to_le_bytes());
-        payload.extend_from_slice(&self.elapsed_ns.to_le_bytes());
-        payload.extend_from_slice(&self.recorded_unix.to_le_bytes());
-        payload.extend_from_slice(&self.units.to_le_bytes());
-        payload.extend_from_slice(&self.failed_units.to_le_bytes());
-        payload.extend_from_slice(&(self.exec.len() as u32).to_le_bytes());
-        payload.extend_from_slice(self.exec.as_bytes());
-        payload.extend_from_slice(&(self.spec_wire.len() as u32).to_le_bytes());
-        payload.extend_from_slice(self.spec_wire.as_bytes());
+        self.meta.encode_into(&mut payload);
         payload.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
         payload.extend_from_slice(&self.payload);
 
-        let mut out = Vec::with_capacity(payload.len() + 24);
+        let mut out = Vec::with_capacity(HEADER + payload.len() + TRAILER);
         out.extend_from_slice(RECORD_MAGIC);
         out.extend_from_slice(&RECORD_VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -129,40 +207,94 @@ impl StudyRecord {
         out.extend_from_slice(&fnv64(&payload).to_le_bytes());
         out
     }
+}
 
-    fn decode(payload: &[u8]) -> Option<StudyRecord> {
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let slice = payload.get(*at..*at + n)?;
-            *at += n;
-            Some(slice)
+/// Where one verified record lives in the file.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    offset: u64,
+    /// Framed length: header, payload and checksum.
+    total: u64,
+    /// The payload checksum seen when the record was indexed.
+    sum: u64,
+}
+
+/// The in-memory index of one database file (see the module docs).
+#[derive(Debug, Default)]
+struct Index {
+    /// Every verified record, keyed by file offset.
+    records: BTreeMap<u64, (Slot, RecordMeta)>,
+    /// `study_key` → offset of that key's latest verified record.
+    latest: HashMap<u64, u64>,
+    /// `(study_key, digest)` pairs already on disk — the append-time
+    /// dedup set.
+    seen: HashSet<(u64, u64)>,
+    /// First byte not yet parsed.
+    scanned: u64,
+    /// File length when the index last caught up with the file.
+    len: u64,
+}
+
+impl Index {
+    fn insert(&mut self, slot: Slot, meta: RecordMeta) {
+        self.seen.insert((meta.study_key, meta.digest));
+        let latest = self.latest.entry(meta.study_key).or_insert(slot.offset);
+        *latest = (*latest).max(slot.offset);
+        self.records.insert(slot.offset, (slot, meta));
+    }
+
+    fn latest_for(&self, study_key: u64) -> Option<Slot> {
+        let offset = self.latest.get(&study_key)?;
+        self.records.get(offset).map(|(slot, _)| *slot)
+    }
+
+    fn latest_with_digest(&self, digest: u64) -> Option<Slot> {
+        self.records
+            .values()
+            .rev()
+            .find(|(_, meta)| meta.digest == digest)
+            .map(|(slot, _)| *slot)
+    }
+
+    /// Whether the last indexed record still carries the checksum it
+    /// was indexed with — a cheap guard against the file having been
+    /// rewritten in place.
+    fn anchor_holds(&self, file: &mut File) -> bool {
+        let Some((slot, _)) = self.records.values().next_back() else {
+            return true;
         };
-        let mut at = 0usize;
-        let study_key = le_u64(take(&mut at, 8)?);
-        let digest = le_u64(take(&mut at, 8)?);
-        let elapsed_ns = le_u64(take(&mut at, 8)?);
-        let recorded_unix = le_u64(take(&mut at, 8)?);
-        let units = le_u32(take(&mut at, 4)?);
-        let failed_units = le_u32(take(&mut at, 4)?);
-        let exec_len = le_u32(take(&mut at, 4)?) as usize;
-        let exec = String::from_utf8(take(&mut at, exec_len)?.to_vec()).ok()?;
-        let wire_len = le_u32(take(&mut at, 4)?) as usize;
-        let spec_wire = String::from_utf8(take(&mut at, wire_len)?.to_vec()).ok()?;
-        let study_len = le_u64(take(&mut at, 8)?);
-        if study_len > MAX_RECORD {
-            return None;
+        let mut sum = [0u8; TRAILER];
+        file.seek(SeekFrom::Start(slot.offset + slot.total - TRAILER as u64))
+            .and_then(|_| file.read_exact(&mut sum))
+            .is_ok_and(|()| u64::from_le_bytes(sum) == slot.sum)
+    }
+
+    /// Index records in `[self.scanned, end)`. A record that runs past
+    /// `end` stays unparsed: the next scan resumes at its start.
+    fn scan(&mut self, file: &mut File, end: u64) -> io::Result<()> {
+        let mut at = self.scanned;
+        let mut torn = None;
+        while let Some(start) = next_magic(file, at, end)? {
+            match read_entry(file, start, end)? {
+                Scanned::Record(slot, meta) => {
+                    at = start + slot.total;
+                    self.insert(slot, meta);
+                }
+                Scanned::Torn => {
+                    torn.get_or_insert(start);
+                    at = start + 1;
+                }
+                Scanned::Corrupt => {
+                    mwc_obs::metrics::counter_add("studydb.corrupt_records", 1);
+                    at = start + 1;
+                }
+            }
         }
-        let study = take(&mut at, study_len as usize)?.to_vec();
-        (at == payload.len()).then_some(StudyRecord {
-            study_key,
-            digest,
-            elapsed_ns,
-            recorded_unix,
-            units,
-            failed_units,
-            exec,
-            spec_wire,
-            payload: study,
-        })
+        // Resume before a magic that may straddle `end`.
+        let tail = end.saturating_sub(RECORD_MAGIC.len() as u64 - 1);
+        self.scanned = torn.unwrap_or(at.max(tail));
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -170,15 +302,13 @@ impl StudyRecord {
 #[derive(Debug)]
 pub struct StudyDb {
     path: PathBuf,
-    /// `(study_key, digest)` pairs already on disk — the append-time
-    /// dedup set.
-    seen: Mutex<HashSet<(u64, u64)>>,
+    index: Mutex<Index>,
 }
 
 impl StudyDb {
     /// Open (creating parents as needed) the database at `path`. An
-    /// existing file is scanned once to prime the dedup set; a missing
-    /// file is an empty database.
+    /// existing file is scanned once to build the index; a missing file
+    /// is an empty database.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<StudyDb> {
         let path = path.into();
         if let Some(parent) = path.parent() {
@@ -188,17 +318,9 @@ impl StudyDb {
         }
         let db = StudyDb {
             path,
-            seen: Mutex::new(HashSet::new()),
+            index: Mutex::new(Index::default()),
         };
-        let existing: Vec<(u64, u64)> = db
-            .records()
-            .iter()
-            .map(|r| (r.study_key, r.digest))
-            .collect();
-        db.seen
-            .lock()
-            .expect("study db dedup set poisoned")
-            .extend(existing);
+        drop(db.refreshed());
         Ok(db)
     }
 
@@ -207,38 +329,67 @@ impl StudyDb {
         &self.path
     }
 
-    /// Every decodable record, in append order. Corrupt or torn spans
-    /// are skipped by rescanning for the next record magic (counted in
-    /// `studydb.corrupt_records`).
-    pub fn records(&self) -> Vec<StudyRecord> {
-        let Ok(bytes) = fs::read(&self.path) else {
-            return Vec::new();
+    /// The index, caught up with the file (see the module docs).
+    fn refreshed(&self) -> MutexGuard<'_, Index> {
+        let mut index = self.index.lock().expect("study db index poisoned");
+        let Ok(mut file) = File::open(&self.path) else {
+            *index = Index::default();
+            return index;
         };
-        let mut out = Vec::new();
-        let mut at = 0usize;
-        while let Some(start) = find_magic(&bytes, at) {
-            match parse_record(&bytes[start..]) {
-                Some((record, consumed)) => {
-                    out.push(record);
-                    at = start + consumed;
-                }
-                None => {
-                    mwc_obs::metrics::counter_add("studydb.corrupt_records", 1);
-                    at = start + 1;
-                }
-            }
+        let len = file.metadata().map_or(0, |m| m.len());
+        if len < index.len || !index.anchor_holds(&mut file) {
+            *index = Index::default();
         }
-        out
+        if len > index.len && index.scan(&mut file, len).is_err() {
+            // The file changed under the scan; start over next call.
+            *index = Index::default();
+        }
+        index
     }
 
-    /// The most recent record for `study_key`, if any. Counts
-    /// `studydb.hits` / `studydb.misses`.
-    pub fn find(&self, study_key: u64) -> Option<StudyRecord> {
-        let found = self
-            .records()
+    /// Read and verify the record `pick` selects from the index. A
+    /// record that fails verification triggers one full re-index and a
+    /// second pick.
+    fn lookup(&self, pick: impl Fn(&Index) -> Option<Slot>) -> Option<StudyRecord> {
+        let slot = pick(&self.refreshed())?;
+        if let Some(record) = read_record(&self.path, slot) {
+            return Some(record);
+        }
+        *self.index.lock().expect("study db index poisoned") = Index::default();
+        let slot = pick(&self.refreshed())?;
+        read_record(&self.path, slot)
+    }
+
+    /// Every decodable record, in append order. Corrupt or torn spans
+    /// are skipped (counted in `studydb.corrupt_records`). Reads every
+    /// study payload; prefer [`StudyDb::entries`] for metadata.
+    pub fn records(&self) -> Vec<StudyRecord> {
+        let slots: Vec<Slot> = self
+            .refreshed()
+            .records
+            .values()
+            .map(|(slot, _)| *slot)
+            .collect();
+        slots
             .into_iter()
-            .rev()
-            .find(|r| r.study_key == study_key);
+            .filter_map(|slot| read_record(&self.path, slot))
+            .collect()
+    }
+
+    /// Metadata of every indexed record, in append order, without
+    /// reading any study payload.
+    pub fn entries(&self) -> Vec<RecordMeta> {
+        self.refreshed()
+            .records
+            .values()
+            .map(|(_, meta)| meta.clone())
+            .collect()
+    }
+
+    /// The most recent record for `study_key`, if any. Reads one
+    /// record. Counts `studydb.hits` / `studydb.misses`.
+    pub fn find(&self, study_key: u64) -> Option<StudyRecord> {
+        let found = self.lookup(|index| index.latest_for(study_key));
         match &found {
             Some(_) => mwc_obs::metrics::counter_add("studydb.hits", 1),
             None => mwc_obs::metrics::counter_add("studydb.misses", 1),
@@ -246,30 +397,48 @@ impl StudyDb {
         found
     }
 
+    /// The most recent record whose result digest is `digest`, if any.
+    /// Reads one record.
+    pub fn find_by_digest(&self, digest: u64) -> Option<StudyRecord> {
+        self.lookup(|index| index.latest_with_digest(digest))
+    }
+
     /// Append `record` unless an identical `(study_key, digest)` pair
-    /// is already present. Returns whether a record was written.
+    /// is already present. Returns whether a record was written; a
+    /// failed write leaves the pair unseen, so it can be retried.
     pub fn append(&self, record: &StudyRecord) -> io::Result<bool> {
-        let mut seen = self.seen.lock().expect("study db dedup set poisoned");
-        if !seen.insert((record.study_key, record.digest)) {
+        let mut index = self.refreshed();
+        if index.seen.contains(&(record.study_key, record.digest)) {
             return Ok(false);
         }
-        drop(seen);
         let bytes = record.encode();
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
         file.write_all(&bytes)?;
+        // An append-mode write leaves the position at the end of what
+        // it wrote, whatever other writers did meanwhile.
+        let end = file.stream_position()?;
+        let total = bytes.len() as u64;
+        let offset = end - total;
+        if index.scanned == offset && index.len == offset {
+            index.scanned = end;
+            index.len = end;
+        }
+        let sum = u64::from_le_bytes(bytes[bytes.len() - TRAILER..].try_into().expect("8 bytes"));
+        index.insert(Slot { offset, total, sum }, record.meta.clone());
         mwc_obs::metrics::counter_add("studydb.appends", 1);
         Ok(true)
     }
 
-    /// Number of decodable records on disk.
+    /// Number of indexed records: those that verified when the file was
+    /// scanned. Reads no record.
     pub fn len(&self) -> usize {
-        self.records().len()
+        self.refreshed().records.len()
     }
 
-    /// Whether the database holds no decodable records.
+    /// Whether the index holds no records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -318,48 +487,171 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+fn read_u32(r: &mut impl Read) -> Option<u32> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b).ok()?;
+    Some(u32::from_le_bytes(b))
 }
 
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+fn read_u64(r: &mut impl Read) -> Option<u64> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b).ok()?;
+    Some(u64::from_le_bytes(b))
 }
 
-/// Offset of the next record magic at or after `from`.
-fn find_magic(bytes: &[u8], from: usize) -> Option<usize> {
-    if from >= bytes.len() {
+/// A `u32`-length-prefixed UTF-8 string.
+fn read_string(r: &mut impl Read) -> Option<String> {
+    let len = read_u32(r)? as usize;
+    let mut bytes = Vec::new();
+    r.take(len as u64).read_to_end(&mut bytes).ok()?;
+    if bytes.len() != len {
         return None;
     }
-    bytes[from..]
-        .windows(RECORD_MAGIC.len())
-        .position(|w| w == RECORD_MAGIC)
-        .map(|p| from + p)
+    String::from_utf8(bytes).ok()
 }
 
-/// Parse one record starting at a magic; returns the record and the
-/// total bytes consumed. `None` for torn/corrupt/incompatible spans.
-fn parse_record(bytes: &[u8]) -> Option<(StudyRecord, usize)> {
-    let header = 4 + 4 + 8;
-    if bytes.len() < header {
+/// The payload length a record header declares, if the header is one
+/// this version reads.
+fn header_len(header: &[u8; HEADER]) -> Option<u64> {
+    if &header[..4] != RECORD_MAGIC {
         return None;
     }
-    if le_u32(&bytes[4..8]) != RECORD_VERSION {
+    if u32::from_le_bytes(header[4..8].try_into().ok()?) != RECORD_VERSION {
         return None;
     }
-    let len = le_u64(&bytes[8..16]);
-    if len > MAX_RECORD {
+    let len = u64::from_le_bytes(header[8..16].try_into().ok()?);
+    (len <= MAX_RECORD).then_some(len)
+}
+
+/// Offset of the next record magic in `[from, end)`.
+fn next_magic(file: &mut File, from: u64, end: u64) -> io::Result<Option<u64>> {
+    let overlap = RECORD_MAGIC.len() - 1;
+    let mut buf = vec![0u8; SCAN_CHUNK];
+    let mut pos = from;
+    while pos + RECORD_MAGIC.len() as u64 <= end {
+        let n = ((end - pos) as usize).min(SCAN_CHUNK);
+        file.seek(SeekFrom::Start(pos))?;
+        file.read_exact(&mut buf[..n])?;
+        if let Some(i) = buf[..n]
+            .windows(RECORD_MAGIC.len())
+            .position(|w| w == RECORD_MAGIC)
+        {
+            return Ok(Some(pos + i as u64));
+        }
+        pos += (n - overlap) as u64;
+    }
+    Ok(None)
+}
+
+/// What the scan found at a magic.
+enum Scanned {
+    /// A record whose checksum and layout verify.
+    Record(Slot, RecordMeta),
+    /// A record that runs past the scanned end: not (yet) complete.
+    Torn,
+    /// A bad header, checksum or layout.
+    Corrupt,
+}
+
+/// A reader that checksums everything read through it.
+struct Checksummed<R> {
+    inner: R,
+    fnv: Fnv1a,
+    read: u64,
+}
+
+impl<R: Read> Read for Checksummed<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.fnv.write_bytes(&buf[..n]);
+        self.read += n as u64;
+        Ok(n)
+    }
+}
+
+/// Verify the record at `start` by streaming its payload through the
+/// checksum; only the metadata is kept.
+fn read_entry(file: &mut File, start: u64, end: u64) -> io::Result<Scanned> {
+    if end - start < HEADER as u64 {
+        return Ok(Scanned::Torn);
+    }
+    file.seek(SeekFrom::Start(start))?;
+    let mut reader = BufReader::with_capacity(SCAN_CHUNK, file);
+    let mut header = [0u8; HEADER];
+    reader.read_exact(&mut header)?;
+    let Some(len) = header_len(&header) else {
+        return Ok(Scanned::Corrupt);
+    };
+    let total = (HEADER + TRAILER) as u64 + len;
+    if end - start < total {
+        return Ok(Scanned::Torn);
+    }
+    let mut payload = Checksummed {
+        inner: reader.by_ref().take(len),
+        fnv: Fnv1a::new(),
+        read: 0,
+    };
+    let parsed = RecordMeta::read_from(&mut payload).map(|(meta, study_len)| {
+        let fits = study_len == len - payload.read;
+        (meta, fits)
+    });
+    io::copy(&mut payload, &mut io::sink())?;
+    if payload.read != len {
+        // The file shrank under the scan.
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    let sum = payload.fnv.finish();
+    let mut stored = [0u8; TRAILER];
+    reader.read_exact(&mut stored)?;
+    Ok(match parsed {
+        Some((meta, true)) if u64::from_le_bytes(stored) == sum => Scanned::Record(
+            Slot {
+                offset: start,
+                total,
+                sum,
+            },
+            meta,
+        ),
+        _ => Scanned::Corrupt,
+    })
+}
+
+/// Read the record at `slot`, re-verifying magic, version, length and
+/// checksum (which must also match the one indexed). A failure is
+/// counted in `studydb.corrupt_records`.
+fn read_record(path: &Path, slot: Slot) -> Option<StudyRecord> {
+    let record = read_slot(path, slot);
+    if record.is_none() {
+        mwc_obs::metrics::counter_add("studydb.corrupt_records", 1);
+    }
+    record
+}
+
+fn read_slot(path: &Path, slot: Slot) -> Option<StudyRecord> {
+    let mut file = File::open(path).ok()?;
+    file.seek(SeekFrom::Start(slot.offset)).ok()?;
+    let mut bytes = vec![0u8; usize::try_from(slot.total).ok()?];
+    file.read_exact(&mut bytes).ok()?;
+    let header: &[u8; HEADER] = bytes[..HEADER].try_into().ok()?;
+    let len = header_len(header)?;
+    if (HEADER + TRAILER) as u64 + len != slot.total {
         return None;
     }
-    let len = len as usize;
-    let total = header + len + 8;
-    if bytes.len() < total {
+    let body_end = HEADER + len as usize;
+    let stored = u64::from_le_bytes(bytes[body_end..].try_into().ok()?);
+    if stored != slot.sum || fnv64(&bytes[HEADER..body_end]) != stored {
         return None;
     }
-    let payload = &bytes[header..header + len];
-    if le_u64(&bytes[header + len..total]) != fnv64(payload) {
+    let mut cursor = &bytes[HEADER..body_end];
+    let (meta, study_len) = RecordMeta::read_from(&mut cursor)?;
+    if cursor.len() as u64 != study_len {
         return None;
     }
-    let record = StudyRecord::decode(payload)?;
-    Some((record, total))
+    let study_start = body_end - cursor.len();
+    bytes.truncate(body_end);
+    bytes.drain(..study_start);
+    Some(StudyRecord {
+        meta,
+        payload: bytes,
+    })
 }

@@ -16,13 +16,16 @@
 //! * [`log`] — leveled wide-event JSONL logging (`MWC_LOG`,
 //!   `MWC_LOG_FILE`), one self-describing line per request/event;
 //! * [`summary`] — per-span-name aggregation (count / total / self / max)
-//!   for the human `--profile` tables rendered by `mwc-bench`.
+//!   for the human `--profile` tables rendered by `mwc-bench`;
+//! * [`collector`] — collection scopes: a [`Collector`] installed on a
+//!   thread (and handed on to its fan-out workers) receives that work's
+//!   spans and metrics apart from everything else the process observes.
 //!
 //! ## Perturbation guarantees
 //!
 //! Everything is **off by default**. The instrumented crates call
 //! [`enabled`] before touching any observability state; when disabled that
-//! call is a pair of relaxed atomic loads and nothing else — no
+//! call is a few relaxed atomic loads and nothing else — no
 //! allocation, no clock read, no lock. Observability never feeds back into
 //! simulation or analysis values, so study outputs are bit-identical with
 //! tracing on, off, or absent (asserted by the workspace's neutrality
@@ -36,7 +39,8 @@
 //! | `MWC_PROFILE=1` | collect spans/events/metrics; binaries print a profile summary table |
 //!
 //! Programs (and tests) can also flip collection programmatically with
-//! [`set_enabled`], which takes precedence over the environment.
+//! [`set_enabled`], which takes precedence over the environment, or
+//! collect one piece of work in isolation by installing a [`Collector`].
 //!
 //! ```
 //! let _guard = mwc_obs::trace::span("pipeline.study");
@@ -56,12 +60,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 
+pub mod collector;
 pub mod export;
 pub mod log;
 pub mod metrics;
 pub mod summary;
 pub mod trace;
 
+pub use collector::{Collector, ScopeGuard};
 pub use trace::{
     event, event_with, set_process_field, span, span_with_parent, SpanGuard, SpanHandle, Value,
 };
@@ -80,9 +86,11 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// One-shot environment probe backing [`enabled`].
 static ENV_PROBE: Once = Once::new();
 
-/// Whether collection is enabled. This is the only check the instrumented
-/// hot paths perform when observability is off: after the first call it
-/// costs two relaxed/acquire atomic loads and touches nothing else.
+/// Whether collection is enabled on the calling thread: globally, or
+/// because a [`Collector`] is installed on it. This is the only check the
+/// instrumented hot paths perform when observability is off: after the
+/// first call it costs three relaxed/acquire atomic loads and touches
+/// nothing else.
 #[inline]
 pub fn enabled() -> bool {
     ENV_PROBE.call_once(|| {
@@ -90,11 +98,12 @@ pub fn enabled() -> bool {
             ENABLED.store(true, Ordering::Relaxed);
         }
     });
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) || collector::in_scope()
 }
 
-/// Turn collection on or off programmatically (tests, the `profile`
-/// binary). Overrides whatever the environment probe decided.
+/// Turn global collection on or off programmatically (tests, the
+/// `profile` binary). Overrides whatever the environment probe decided.
+/// Threads with a [`Collector`] installed collect regardless.
 pub fn set_enabled(on: bool) {
     ENV_PROBE.call_once(|| {});
     ENABLED.store(on, Ordering::Relaxed);
@@ -117,6 +126,7 @@ pub fn profile_requested() -> bool {
 /// Drop all collected spans, events and metrics and return to a pristine
 /// registry. Collection stays in whatever enabled state it was. Intended
 /// for tests and for binaries that profile several studies in sequence.
+/// Touches only the global registry, never a [`Collector`].
 pub fn reset() {
     let _ = trace::drain();
     metrics::reset();

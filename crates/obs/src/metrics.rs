@@ -7,10 +7,13 @@
 //! ordered map — metric updates happen at stage granularity (per run, per
 //! unit, per sweep cell), never per simulated tick, so contention is not a
 //! concern; when collection is disabled every update is a no-op atomic
-//! check.
+//! check. A thread with a [`Collector`] installed records into that
+//! collector's own map instead of the global one.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
+
+use crate::Collector;
 
 /// Default histogram bucket upper bounds for durations in nanoseconds:
 /// 10 µs … 60 s, roughly logarithmic.
@@ -315,6 +318,15 @@ fn with_registry<R>(f: impl FnOnce(&mut BTreeMap<String, Metric>) -> R) -> R {
     f(&mut map)
 }
 
+/// Run an update against the calling thread's [`Collector`] if one is
+/// installed, else against the global registry.
+fn with_sink<R>(f: impl FnOnce(&mut BTreeMap<String, Metric>) -> R) -> R {
+    match Collector::current() {
+        Some(collector) => collector.with_metrics(f),
+        None => with_registry(f),
+    }
+}
+
 /// Add `delta` to the counter `name` (created at 0 on first use). A no-op
 /// when collection is disabled, or when `name` is already registered as a
 /// different metric kind.
@@ -322,7 +334,7 @@ pub fn counter_add(name: &str, delta: u64) {
     if !crate::enabled() {
         return;
     }
-    with_registry(|map| {
+    with_sink(|map| {
         if let Metric::Counter(v) = map.entry(name.to_owned()).or_insert(Metric::Counter(0)) {
             *v += delta;
         }
@@ -335,7 +347,7 @@ pub fn gauge_set(name: &str, value: f64) {
     if !crate::enabled() {
         return;
     }
-    with_registry(|map| {
+    with_sink(|map| {
         if let Metric::Gauge(v) = map.entry(name.to_owned()).or_insert(Metric::Gauge(value)) {
             *v = value;
         }
@@ -349,7 +361,7 @@ pub fn observe(name: &str, bounds: &[f64], value: f64) {
     if !crate::enabled() {
         return;
     }
-    with_registry(|map| {
+    with_sink(|map| {
         if let Metric::Histogram(h) = map
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
@@ -365,7 +377,9 @@ pub fn observe_duration_ns(name: &str, ns: u64) {
     observe(name, &DURATION_NS_BOUNDS, ns as f64);
 }
 
-/// A point-in-time copy of the whole registry, sorted by metric name.
+/// A point-in-time copy of the whole global registry, sorted by metric
+/// name. Metrics recorded under a [`Collector`] are read from the
+/// collector instead.
 pub fn snapshot() -> Vec<(String, Metric)> {
     if REGISTRY.get().is_none() {
         return Vec::new();
@@ -373,7 +387,7 @@ pub fn snapshot() -> Vec<(String, Metric)> {
     with_registry(|map| map.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
 }
 
-/// Look up one metric by name.
+/// Look up one metric of the global registry by name.
 pub fn get(name: &str) -> Option<Metric> {
     REGISTRY.get()?;
     with_registry(|map| map.get(name).cloned())

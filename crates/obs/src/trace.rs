@@ -11,12 +11,18 @@
 //! worker, which opens children with [`span_with_parent`]. This is how the
 //! `mwc-parallel` worker pool nests task spans under the fan-out span of
 //! the calling thread.
+//!
+//! A span or event recorded while a [`Collector`] is installed on the
+//! thread goes to that collector, not to the thread's buffer, so
+//! [`drain`] never returns it.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::Collector;
 
 /// A typed span/event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -278,6 +284,9 @@ struct OpenSpan {
     name: String,
     start_ns: u64,
     fields: Vec<(String, Value)>,
+    /// The collector installed when the span opened; the finished span
+    /// goes there instead of the thread's global buffer.
+    sink: Option<Collector>,
 }
 
 /// RAII guard for a span: records the span into the thread's buffer when
@@ -326,20 +335,24 @@ impl Drop for SpanGuard {
             if let Some(pos) = local.stack.iter().rposition(|&id| id == open.id) {
                 local.stack.remove(pos);
             }
-            local
-                .buf
-                .lock()
-                .expect("thread trace buffer poisoned")
-                .spans
-                .push(SpanRecord {
-                    id: open.id,
-                    parent: open.parent,
-                    name: open.name,
-                    tid: local.tid,
-                    start_ns: open.start_ns,
-                    end_ns,
-                    fields: open.fields,
-                });
+            let record = SpanRecord {
+                id: open.id,
+                parent: open.parent,
+                name: open.name,
+                tid: local.tid,
+                start_ns: open.start_ns,
+                end_ns,
+                fields: open.fields,
+            };
+            match &open.sink {
+                Some(collector) => collector.push_span(record),
+                None => local
+                    .buf
+                    .lock()
+                    .expect("thread trace buffer poisoned")
+                    .spans
+                    .push(record),
+            }
         });
     }
 }
@@ -362,6 +375,7 @@ fn open_span(name: &str, explicit_parent: Option<SpanHandle>) -> SpanGuard {
             name: name.to_owned(),
             start_ns,
             fields: process_fields(),
+            sink: Collector::current(),
         }
     });
     SpanGuard { open: Some(open) }
@@ -392,24 +406,27 @@ pub fn event_with(name: &str, fields: Vec<(String, Value)>) {
     }
     let ts_ns = now_ns();
     with_local(|local| {
-        let parent = local.stack.last().copied().unwrap_or(0);
-        local
-            .buf
-            .lock()
-            .expect("thread trace buffer poisoned")
-            .events
-            .push(EventRecord {
-                name: name.to_owned(),
-                parent,
-                tid: local.tid,
-                ts_ns,
-                fields,
-            });
+        let record = EventRecord {
+            name: name.to_owned(),
+            parent: local.stack.last().copied().unwrap_or(0),
+            tid: local.tid,
+            ts_ns,
+            fields,
+        };
+        match Collector::current() {
+            Some(collector) => collector.push_event(record),
+            None => local
+                .buf
+                .lock()
+                .expect("thread trace buffer poisoned")
+                .events
+                .push(record),
+        }
     });
 }
 
 /// Empty every thread's buffer and return the merged, deterministically
-/// ordered records. Spans still open (guards not yet dropped) are not
+/// ordered records (everything recorded outside a [`Collector`] scope). Spans still open (guards not yet dropped) are not
 /// included — they will appear in a later drain.
 pub fn drain() -> TraceData {
     let Some(registry) = BUFFERS.get() else {

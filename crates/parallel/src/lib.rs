@@ -60,8 +60,10 @@ pub fn configured_threads() -> usize {
 /// `parallel.map` span and every item runs inside a `parallel.task` span
 /// explicitly parented under it, so spans nest correctly across worker
 /// threads; spans opened inside `f` hang off the task span of whichever
-/// worker ran that item. Disabled, the instrumentation is a no-op atomic
-/// check and the map is byte-for-byte the uninstrumented loop.
+/// worker ran that item. A [`mwc_obs::Collector`] installed on the calling
+/// thread is installed on every worker too, so the whole map reports into
+/// it. Disabled, the instrumentation is a no-op atomic check and the map
+/// is byte-for-byte the uninstrumented loop.
 ///
 /// Panics in `init` or `f` propagate to the caller when the scope joins.
 pub fn ordered_map_with<T, S, R, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
@@ -95,10 +97,12 @@ where
     map_span.field("workers", workers);
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+    let collector = mwc_obs::Collector::current();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                let _scope = collector.as_ref().map(mwc_obs::Collector::install);
                 let mut state = init();
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
@@ -219,6 +223,32 @@ mod tests {
         // More threads than items must still visit each item exactly once.
         let out = ordered_map(&[10, 20], 64, |&x: &i32, _| x);
         assert_eq!(out, vec![10, 20]);
+    }
+
+    #[test]
+    fn workers_report_into_the_callers_collector() {
+        let collector = mwc_obs::Collector::new();
+        let items: Vec<u32> = (0..8).collect();
+        {
+            let _scope = collector.install();
+            ordered_map(&items, 4, |&x, _| {
+                mwc_obs::metrics::counter_add("test.items", 1);
+                x
+            });
+        }
+        assert_eq!(
+            collector.metric("parallel.tasks"),
+            Some(mwc_obs::metrics::Metric::Counter(8))
+        );
+        assert_eq!(
+            collector.metric("test.items"),
+            Some(mwc_obs::metrics::Metric::Counter(8))
+        );
+        let data = collector.drain();
+        let map = data.span_named("parallel.map").expect("map span");
+        let tasks = data.spans_named("parallel.task");
+        assert_eq!(tasks.len(), 8);
+        assert!(tasks.iter().all(|t| t.parent == map.id));
     }
 
     #[test]

@@ -128,12 +128,20 @@ pub fn request(
     head.push_str("\r\n");
 
     let mut write_half = stream.try_clone().map_err(map_io)?;
-    write_half.write_all(head.as_bytes()).map_err(map_io)?;
-    write_half.write_all(body).map_err(map_io)?;
-    write_half.flush().map_err(map_io)?;
+    let sent = write_half
+        .write_all(head.as_bytes())
+        .and_then(|()| write_half.write_all(body))
+        .and_then(|()| write_half.flush());
 
+    // A server may answer (e.g. shed with 503) before reading the body
+    // and stop reading; its reply can still be waiting after our write
+    // failed, so try to read it before reporting the write error.
     let mut reader = BufReader::new(stream);
-    let status_line = read_line(&mut reader)?;
+    let status_line = match (sent, read_line(&mut reader)) {
+        (_, Ok(line)) => line,
+        (Err(e), Err(_)) => return Err(map_io(e)),
+        (Ok(()), Err(e)) => return Err(e),
+    };
     let status = status_line
         .strip_prefix("HTTP/1.1 ")
         .or_else(|| status_line.strip_prefix("HTTP/1.0 "))

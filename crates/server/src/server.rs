@@ -16,11 +16,20 @@
 //!    drain already-admitted jobs — up to the drain deadline, after which
 //!    the remainder get a fast `503` — and exit; [`Server::join`] returns
 //!    the final stats.
+//!
+//! Every reply sent before the request was read in full (the shed
+//! `503`, a `400`/`408`/`413` parse error, the drain `503`, a `504` for a
+//! job that expired while queued) ends in a lingering close: the server
+//! half-closes its side, then a background thread discards whatever the
+//! client is still sending until it hangs up, for at most 2 s and
+//! 4 MiB. Closing a socket with unread bytes makes the kernel answer
+//! with a reset, which can destroy the reply before the client reads it.
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::str;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -108,6 +117,9 @@ pub struct ServerState {
     stats: Stats,
     telemetry: Telemetry,
     busy: AtomicUsize,
+    /// Hands early-answered connections to the lingering-close thread;
+    /// taken by [`Server::join`] to let that thread finish.
+    linger: Mutex<Option<Sender<TcpStream>>>,
 }
 
 impl ServerState {
@@ -146,6 +158,63 @@ impl ServerState {
             .expect("drain clock lock poisoned")
             .is_some_and(|t| t.elapsed() > self.config.drain)
     }
+
+    /// Close a connection answered before its request was read in full
+    /// without resetting it (see the module docs). Never blocks.
+    fn linger(&self, stream: &TcpStream) {
+        let Ok(stream) = stream.try_clone() else {
+            return;
+        };
+        if stream.shutdown(Shutdown::Write).is_ok() && stream.set_nonblocking(true).is_ok() {
+            if let Some(linger) = &*self.linger.lock().expect("linger sender poisoned") {
+                let _ = linger.send(stream);
+            }
+        }
+    }
+}
+
+/// Longest a lingering close waits for the client to hang up.
+const LINGER_TIME: Duration = Duration::from_secs(2);
+/// Most inbound bytes a lingering close discards before giving up.
+const LINGER_BYTES: usize = 4 * http::MAX_BODY;
+
+/// The lingering-close thread: drains every handed-over connection until
+/// its peer closes or a bound passes. Exits once the sender is gone and
+/// nothing is left to drain.
+fn linger_loop(inbox: Receiver<TcpStream>) {
+    let mut open: Vec<(TcpStream, Instant, usize)> = Vec::new();
+    // On the stack: an idle lingering thread allocates nothing.
+    let mut scratch = [0u8; 16 * 1024];
+    loop {
+        if open.is_empty() {
+            match inbox.recv() {
+                Ok(stream) => open.push((stream, Instant::now(), 0)),
+                Err(_) => return,
+            }
+        }
+        while let Ok(stream) = inbox.try_recv() {
+            open.push((stream, Instant::now(), 0));
+        }
+        open.retain_mut(|(stream, since, drained)| loop {
+            match stream.read(&mut scratch) {
+                Ok(0) => break false,
+                Ok(n) => {
+                    *drained += n;
+                    if *drained > LINGER_BYTES {
+                        break false;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    break since.elapsed() < LINGER_TIME;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break false,
+            }
+        });
+        if !open.is_empty() {
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
 }
 
 /// A running server: acceptor thread + worker pool over shared state.
@@ -155,6 +224,7 @@ pub struct Server {
     state: Arc<ServerState>,
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
+    lingerer: JoinHandle<()>,
 }
 
 impl Server {
@@ -179,6 +249,10 @@ impl Server {
             None => StudyCache::in_memory(),
         };
         let queue = BoundedQueue::new(config.queue_depth);
+        let (linger, inbox) = mpsc::channel();
+        let lingerer = thread::Builder::new()
+            .name("mwc-linger".to_owned())
+            .spawn(move || linger_loop(inbox))?;
         let state = Arc::new(ServerState {
             telemetry: Telemetry::new(config.slo, config.debug_ring),
             config: config.clone(),
@@ -188,6 +262,7 @@ impl Server {
             drain_started: Mutex::new(None),
             stats: Stats::default(),
             busy: AtomicUsize::new(0),
+            linger: Mutex::new(Some(linger)),
         });
 
         let mut workers = Vec::with_capacity(config.workers);
@@ -211,6 +286,7 @@ impl Server {
             state,
             acceptor,
             workers,
+            lingerer,
         })
     }
 
@@ -253,6 +329,15 @@ impl Server {
         for w in self.workers {
             let _ = w.join();
         }
+        // Nothing answers early any more: let the lingering closes finish.
+        drop(
+            self.state
+                .linger
+                .lock()
+                .expect("linger sender poisoned")
+                .take(),
+        );
+        let _ = self.lingerer.join();
         self.state.stats.snapshot()
     }
 }
@@ -317,7 +402,8 @@ fn shed(state: &Arc<ServerState>, mut stream: TcpStream, why: &str) {
     scope.shed = true;
     let start = Instant::now();
     let resp = Response::error(503, "overload", why).header("retry-after", 1);
-    write_response(&mut stream, resp, &mut scope);
+    write_response(state, &mut stream, resp, &mut scope);
+    state.linger(&stream);
     let remaining_ms = state.config.deadline.as_millis() as i64;
     state
         .telemetry
@@ -404,12 +490,14 @@ fn serve_connection(
         let resp = Response::error(503, "draining", "server drain deadline passed")
             .header("retry-after", 1);
         respond(state, stream, resp, scope);
+        state.linger(stream);
         return;
     }
     // Expired while queued: answer without even parsing.
     if deadline.expired() {
         let resp = deadline_response(state, &deadline);
         respond(state, stream, resp, scope);
+        state.linger(stream);
         return;
     }
     // Bound the read by whichever is tighter: socket timeout or budget.
@@ -433,6 +521,7 @@ fn serve_connection(
                 HttpError::Closed | HttpError::Io(_) => return,
             };
             respond(state, stream, resp, scope);
+            state.linger(stream);
             return;
         }
     };
@@ -499,6 +588,7 @@ fn route(
 /// the always-live rolling/SLO/utilization tail rendered from server
 /// state.
 fn metrics_response(state: &Arc<ServerState>) -> Response {
+    state.telemetry.settle();
     let mut snap = mwc_obs::metrics::snapshot();
     // The live gauges are re-rendered in the tail from server state;
     // drop the registry copies so each series appears exactly once.
@@ -528,6 +618,7 @@ fn debug_requests(state: &Arc<ServerState>) -> Response {
     if !state.telemetry.ring_enabled() {
         return debug_ring_disabled();
     }
+    state.telemetry.settle();
     let records = state.telemetry.recent(64);
     let mut body = String::with_capacity(64 + records.len() * 320);
     body.push_str(&format!("{{\"count\":{},\"requests\":[", records.len()));
@@ -546,6 +637,7 @@ fn debug_request_by_id(state: &Arc<ServerState>, id: &str) -> Response {
     if !state.telemetry.ring_enabled() {
         return debug_ring_disabled();
     }
+    state.telemetry.settle();
     match state.telemetry.find(id) {
         Some(r) => Response::json(200, r.to_json()),
         None => Response::error(404, "debug", &format!("no recent request with id {id:?}")),
@@ -669,9 +761,18 @@ fn study_json(study: &Characterization, elapsed: Option<Duration>) -> String {
 /// Echo the trace ID onto `resp`, write it, and charge the write to the
 /// scope's serialize phase. Every response goes through here (or
 /// [`respond`]) so the `x-mwc-request-id` echo is unconditional —
-/// including 500/503/504 paths.
-fn write_response(stream: &mut TcpStream, resp: Response, scope: &mut RequestScope) {
+/// including 500/503/504 paths. The response is announced to telemetry
+/// first: the caller records the sealed scope only after the write, and
+/// `/metrics` and `/debug/requests` settle on every announced response,
+/// so a client holding its response always sees its request counted.
+fn write_response(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    resp: Response,
+    scope: &mut RequestScope,
+) {
     let id = scope.ensure_id().to_owned();
+    state.telemetry.announce(&id);
     let resp = resp.header(telemetry::REQUEST_ID_HEADER, id);
     let start = Instant::now();
     // Best-effort: the peer may have given up; that is its right.
@@ -693,7 +794,7 @@ fn respond(
         _ => &state.stats.responses_5xx,
     };
     class.fetch_add(1, Ordering::Relaxed);
-    write_response(stream, resp, scope);
+    write_response(state, stream, resp, scope);
 }
 
 #[cfg(test)]

@@ -25,9 +25,9 @@
 //! bit-identical with every knob on or off (asserted by
 //! `tests/telemetry.rs` and the `verify.sh` neutrality gate).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use mwc_obs::log::{self, Level};
@@ -310,6 +310,16 @@ impl DebugRing {
     }
 }
 
+/// Longest [`Telemetry::settle`] waits for earlier responses' records.
+const SETTLE_WAIT: Duration = Duration::from_secs(1);
+
+/// Responses written but not yet recorded, by announcement order.
+#[derive(Debug, Default)]
+struct InFlight {
+    next_seq: u64,
+    pending: BTreeMap<u64, String>,
+}
+
 /// Per-server telemetry state: the rolling windows, SLO counters and the
 /// optional debug ring. Owned by `ServerState`.
 #[derive(Debug)]
@@ -321,6 +331,9 @@ pub struct Telemetry {
     rolling: Mutex<RollingSet>,
     slo_ok: AtomicU64,
     slo_violations: AtomicU64,
+    in_flight: Mutex<InFlight>,
+    /// Signalled whenever an announced response is recorded.
+    landed: Condvar,
 }
 
 impl Telemetry {
@@ -337,6 +350,8 @@ impl Telemetry {
             rolling: Mutex::new(RollingSet::new()),
             slo_ok: AtomicU64::new(0),
             slo_violations: AtomicU64::new(0),
+            in_flight: Mutex::new(InFlight::default()),
+            landed: Condvar::new(),
         }
     }
 
@@ -348,6 +363,32 @@ impl Telemetry {
     /// Whether `GET /debug/requests` is enabled.
     pub fn ring_enabled(&self) -> bool {
         self.ring.is_some()
+    }
+
+    /// A response carrying trace ID `id` is about to be written; its
+    /// record follows through [`Telemetry::record`] once the write is
+    /// done. [`Telemetry::settle`] waits for it.
+    pub fn announce(&self, id: &str) {
+        let mut in_flight = self.in_flight.lock().expect("in-flight lock poisoned");
+        let seq = in_flight.next_seq;
+        in_flight.next_seq += 1;
+        in_flight.pending.insert(seq, id.to_owned());
+    }
+
+    /// Wait until every response announced before this call has been
+    /// recorded, for at most one second. A response is written before its
+    /// record is sealed (the record carries the write time), so without
+    /// this a client holding its response could ask `/metrics` or the
+    /// debug ring about its request before the request is counted.
+    pub fn settle(&self) {
+        let in_flight = self.in_flight.lock().expect("in-flight lock poisoned");
+        let horizon = in_flight.next_seq;
+        let _ = self
+            .landed
+            .wait_timeout_while(in_flight, SETTLE_WAIT, |f| {
+                f.pending.keys().next().is_some_and(|&seq| seq < horizon)
+            })
+            .expect("in-flight lock poisoned");
     }
 
     /// Ingest one finished request: rolling windows, SLO counters, the
@@ -421,8 +462,20 @@ impl Telemetry {
                 ],
             );
         }
+        let id = record.id.clone();
         if let Some(ring) = &self.ring {
             ring.push(record);
+        }
+        // Counted everywhere before it stops being in flight, so a woken
+        // `settle` sees it. Every announcement of the ID goes: a request
+        // that answered twice (a panic after its first write) is
+        // recorded once, and must not hold up every later settle.
+        let mut in_flight = self.in_flight.lock().expect("in-flight lock poisoned");
+        let before = in_flight.pending.len();
+        in_flight.pending.retain(|_, pending| *pending != id);
+        if in_flight.pending.len() != before {
+            drop(in_flight);
+            self.landed.notify_all();
         }
     }
 
@@ -634,6 +687,37 @@ mod tests {
         assert_eq!(recent[0].id, "id-4", "newest first");
         assert!(t.find("id-0").is_none(), "evicted");
         assert_eq!(t.find("id-3").map(|r| r.status), Some(200));
+    }
+
+    #[test]
+    fn settle_waits_for_announced_records_only() {
+        let t = Telemetry::new(Duration::from_millis(500), 4);
+        t.announce("late");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                t.record(record("late", 200, 1_000));
+            });
+            // Issued before the record lands: must wait, not miss it.
+            t.settle();
+            assert_eq!(t.find("late").map(|r| r.status), Some(200));
+            assert!(t.metrics_tail(0, 1, 0, 1).contains("server_slo_ok_total 1"));
+        });
+        // Nothing left in flight: settling returns at once.
+        let started = Instant::now();
+        t.settle();
+        assert!(started.elapsed() < SETTLE_WAIT);
+        // A response whose record never comes holds a settle up for at
+        // most the bound.
+        t.announce("later");
+        let started = Instant::now();
+        t.settle();
+        let waited = started.elapsed();
+        assert!(waited >= SETTLE_WAIT, "{waited:?}");
+        t.record(record("later", 200, 1_000));
+        let started = Instant::now();
+        t.settle();
+        assert!(started.elapsed() < SETTLE_WAIT);
     }
 
     #[test]

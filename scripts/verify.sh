@@ -275,8 +275,43 @@ MWC_STUDY_DB="$fleet_db" ./target/release/report | grep -q "(3 records)" || {
     echo "error: report did not list the 3 sweep records in $fleet_db" >&2
     exit 1
 }
+
+# Corrupt-then-resume: flip one payload byte of the first record (the
+# first point). The rerun must skip that record as corrupt, recompute
+# only that point (1 point x 3 units) and replay the other two from the
+# study DB, with the same sweep digest.
+flip_at=64
+flip_byte=$(dd if="$fleet_db" bs=1 skip="$flip_at" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+# shellcheck disable=SC2059
+printf "$(printf '\\%03o' $((flip_byte ^ 64)))" \
+    | dd of="$fleet_db" bs=1 seek="$flip_at" count=1 conv=notrunc 2>/dev/null || exit 1
+fleet_corrupt_out=$(MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/sweep \
+    --seeds 3 --base-seed 4100 --units "$fleet_units") || exit 1
+fleet_digest_corrupt=$(printf '%s\n' "$fleet_corrupt_out" | awk '/^sweep digest:/ { print $3 }')
+fleet_replayed=$(printf '%s\n' "$fleet_corrupt_out" \
+    | awk '/^sweep stats:/ { for (i = 1; i <= NF; i++) if (sub("^replayed_db=", "", $i)) print $i }')
+fleet_soc_runs=$(printf '%s\n' "$fleet_corrupt_out" \
+    | awk '/^sweep stats:/ { for (i = 1; i <= NF; i++) if (sub("^soc_runs=", "", $i)) print $i }')
+fleet_corrupt=$(printf '%s\n' "$fleet_corrupt_out" \
+    | awk '/^studydb stats:/ { for (i = 1; i <= NF; i++) if (sub("^corrupt=", "", $i)) print $i }')
+if [ "$fleet_digest_corrupt" != "$fleet_digest_local" ]; then
+    echo "error: sweep over a corrupted DB diverged: $fleet_digest_local (clean) vs $fleet_digest_corrupt" >&2
+    exit 1
+fi
+if [ -z "$fleet_replayed" ] || [ "$fleet_replayed" -ne 2 ]; then
+    echo "error: corrupt-then-resume replayed $fleet_replayed points from the study DB (want 2)" >&2
+    exit 1
+fi
+if [ -z "$fleet_soc_runs" ] || [ "$fleet_soc_runs" -ne 3 ]; then
+    echo "error: corrupt-then-resume ran $fleet_soc_runs simulations (want 3 = 1 point x 3 units)" >&2
+    exit 1
+fi
+if [ -z "$fleet_corrupt" ] || [ "$fleet_corrupt" -lt 1 ]; then
+    echo "error: corrupt-then-resume counted corrupt=$fleet_corrupt records (want >= 1)" >&2
+    exit 1
+fi
 rm -f "$fleet_db"
-echo "    subprocess:2 sweep bit-identical ($fleet_digest_sub, shipped=$fleet_shipped); resume replayed 1 point, simulated 6 runs"
+echo "    subprocess:2 sweep bit-identical ($fleet_digest_sub, shipped=$fleet_shipped); resume replayed 1 point, simulated 6 runs; corrupt-then-resume recomputed 1 point"
 
 echo "==> kernel bench smoke pass (MWC_BENCH_FAST=1)"
 bench_json="$PWD/target/verify-bench.json"

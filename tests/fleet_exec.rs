@@ -301,3 +301,228 @@ fn subprocess_backend_honors_exec_trait_metadata() {
     assert_eq!(LocalExec.describe(), "local");
     assert_eq!(LocalExec.shards(), 1);
 }
+
+/// Two small studies (seeds 6101, 6102) and their specs, for the
+/// study-DB index tests. Records for further study keys reuse these
+/// studies: the index never looks inside a study.
+fn two_studies() -> [(StudySpec, mwc_core::Characterization); 2] {
+    let _g = lock();
+    [6101, 6102].map(|seed| {
+        let spec = spec_for(seed);
+        let study = exec::run_study(&LocalExec, &spec, None).expect("study");
+        (spec, study)
+    })
+}
+
+/// Append `records` to a fresh DB at `path`; returns each record's
+/// offset and the file length.
+fn write_db(path: &std::path::Path, records: &[&StudyRecord]) -> (Vec<u64>, u64) {
+    let db = StudyDb::open(path).expect("open");
+    let mut offsets = Vec::new();
+    for record in records {
+        offsets.push(fs::metadata(path).map_or(0, |m| m.len()));
+        assert!(db.append(record).expect("append"));
+    }
+    (offsets, fs::metadata(path).expect("db meta").len())
+}
+
+/// Overwrite `bytes.len()` bytes at `offset` in place.
+fn overwrite(path: &std::path::Path, offset: u64, bytes: &[u8]) {
+    use std::io::{Seek, SeekFrom, Write};
+    let mut file = fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .expect("open for overwrite");
+    file.seek(SeekFrom::Start(offset)).expect("seek");
+    file.write_all(bytes).expect("overwrite");
+}
+
+#[test]
+fn studydb_sees_records_another_handle_appends() {
+    let tmp = TempDir::new();
+    let [(spec_a, study_a), (spec_b, study_b)] = two_studies();
+    let rec_a = StudyRecord::new(&spec_a, &study_a, "local", Duration::ZERO);
+    let rec_b = StudyRecord::new(&spec_b, &study_b, "local", Duration::ZERO);
+    let path = tmp.0.join("shared.mwdb");
+
+    let reader = StudyDb::open(&path).expect("reader");
+    let writer = StudyDb::open(&path).expect("writer");
+    assert!(reader.find(spec_a.study_key()).is_none());
+    assert!(writer.append(&rec_a).expect("append a"));
+    let found = reader.find(spec_a.study_key()).expect("the new record");
+    assert_eq!(found.study().expect("decodes").digest(), study_a.digest());
+    assert!(
+        !reader.append(&rec_a).expect("dup append"),
+        "the dedup set learns the other handle's records"
+    );
+
+    // A record another writer has only half written is not there yet;
+    // once the rest lands, the same handle finds it.
+    let (_, solo_len) = write_db(&tmp.0.join("solo.mwdb"), &[&rec_b]);
+    let encoded = fs::read(tmp.0.join("solo.mwdb")).expect("encoded b");
+    assert_eq!(encoded.len() as u64, solo_len);
+    let half = encoded.len() / 2;
+    let mut file = fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .expect("open for append");
+    std::io::Write::write_all(&mut file, &encoded[..half]).expect("first half");
+    assert!(reader.find(spec_b.study_key()).is_none());
+    assert_eq!(reader.len(), 1);
+    std::io::Write::write_all(&mut file, &encoded[half..]).expect("second half");
+    let found = reader
+        .find(spec_b.study_key())
+        .expect("the completed record");
+    assert_eq!(found.study().expect("decodes").digest(), study_b.digest());
+    assert_eq!(reader.len(), 2);
+    assert_eq!(writer.len(), 2);
+}
+
+#[test]
+fn studydb_last_record_for_a_key_wins() {
+    let tmp = TempDir::new();
+    let [(spec_a, study_a), (_, study_b)] = two_studies();
+    // The same spec recorded twice with different results (a rerun
+    // under a changed program, say): the later record wins.
+    let older = StudyRecord::new(&spec_a, &study_a, "first", Duration::ZERO);
+    let newer = StudyRecord::new(&spec_a, &study_b, "second", Duration::ZERO);
+    let path = tmp.0.join("rerun.mwdb");
+    let db = StudyDb::open(&path).expect("open");
+    assert!(db.append(&older).expect("append older"));
+    assert!(db.append(&newer).expect("append newer"));
+    assert_eq!(db.find(spec_a.study_key()).expect("hit").exec, "second");
+    let reopened = StudyDb::open(&path).expect("reopen");
+    let found = reopened.find(spec_a.study_key()).expect("hit after reopen");
+    assert_eq!(found.exec, "second");
+    assert_eq!(found.study().expect("decodes").digest(), study_b.digest());
+    assert_eq!(reopened.len(), 2);
+}
+
+#[test]
+fn studydb_corrupted_indexed_record_never_yields_a_wrong_study() {
+    let tmp = TempDir::new();
+    let [(spec_a, study_a), (_, study_b)] = two_studies();
+    let older = StudyRecord::new(&spec_a, &study_a, "first", Duration::ZERO);
+    let newer = StudyRecord::new(&spec_a, &study_b, "second", Duration::ZERO);
+    let path = tmp.0.join("damaged.mwdb");
+    let (offsets, len) = write_db(&path, &[&older, &newer]);
+
+    let db = StudyDb::open(&path).expect("open");
+    assert_eq!(db.find(spec_a.study_key()).expect("hit").exec, "second");
+    // Damage the indexed (newer) record mid-payload, after indexing:
+    // the lookup falls back to the older intact record.
+    let mid = (offsets[1] + len) / 2;
+    overwrite(&path, mid, &[0xA5; 16]);
+    let found = db
+        .find(spec_a.study_key())
+        .expect("the older intact record");
+    assert_eq!(found.exec, "first");
+    assert_eq!(found.study().expect("decodes").digest(), study_a.digest());
+    // Damage the older one too: nothing intact is left for the key.
+    overwrite(&path, offsets[1] / 2, &[0xA5; 16]);
+    assert!(db.find(spec_a.study_key()).is_none());
+    assert!(db.is_empty());
+}
+
+#[test]
+fn studydb_truncated_or_replaced_file_is_reindexed() {
+    let tmp = TempDir::new();
+    let [(spec_a, study_a), (spec_b, study_b)] = two_studies();
+    let rec_a = StudyRecord::new(&spec_a, &study_a, "local", Duration::ZERO);
+    let rec_b = StudyRecord::new(&spec_b, &study_b, "local", Duration::ZERO);
+    let path = tmp.0.join("db.mwdb");
+    let (offsets, _) = write_db(&path, &[&rec_a, &rec_b]);
+    let db = StudyDb::open(&path).expect("open");
+    assert_eq!(db.len(), 2);
+
+    // Truncate to the first record: the second is gone.
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("open for truncate")
+        .set_len(offsets[1])
+        .expect("truncate");
+    assert!(db.find(spec_b.study_key()).is_none());
+    assert_eq!(db.len(), 1);
+
+    // Replace the file with a larger one holding the records in the
+    // other order: every offset moved, and both are found.
+    let swapped = tmp.0.join("swapped.mwdb");
+    write_db(&swapped, &[&rec_b, &rec_a]);
+    fs::rename(&swapped, &path).expect("replace");
+    let found_a = db.find(spec_a.study_key()).expect("a after replace");
+    assert_eq!(found_a.study().expect("decodes").digest(), study_a.digest());
+    let found_b = db.find(spec_b.study_key()).expect("b after replace");
+    assert_eq!(found_b.study().expect("decodes").digest(), study_b.digest());
+    assert_eq!(
+        db.entries().iter().map(|m| m.study_key).collect::<Vec<_>>(),
+        [spec_b.study_key(), spec_a.study_key()]
+    );
+
+    // Truncate to nothing: an empty database.
+    fs::write(&path, b"").expect("empty the file");
+    assert!(db.find(spec_a.study_key()).is_none());
+    assert!(db.is_empty());
+}
+
+#[test]
+fn studydb_lookup_reads_only_the_indexed_record() {
+    let tmp = TempDir::new();
+    let [(_, study), _] = two_studies();
+    let specs: Vec<StudySpec> = (7001..7005).map(spec_for).collect();
+    let records: Vec<StudyRecord> = specs
+        .iter()
+        .map(|spec| StudyRecord::new(spec, &study, "local", Duration::ZERO))
+        .collect();
+    let path = tmp.0.join("points.mwdb");
+    let (offsets, len) = write_db(&path, &records.iter().collect::<Vec<_>>());
+    let db = StudyDb::open(&path).expect("open");
+    assert_eq!(db.len(), 4);
+
+    // Overwrite records 0 and 2 with same-length garbage. A lookup of
+    // record 1 or 3 reads that record alone: it succeeds, and the index
+    // still lists all four because nothing rescanned the file.
+    let ends: Vec<u64> = offsets.iter().skip(1).copied().chain([len]).collect();
+    for i in [0, 2] {
+        overwrite(
+            &path,
+            offsets[i],
+            &vec![0xA5; (ends[i] - offsets[i]) as usize],
+        );
+    }
+    for i in [1, 3] {
+        let found = db.find(specs[i].study_key()).expect("intact record");
+        assert_eq!(found.study_key, specs[i].study_key());
+        assert_eq!(found.study().expect("decodes").digest(), study.digest());
+    }
+    assert_eq!(db.len(), 4, "no lookup scanned the damaged records");
+
+    // Looking up a damaged record falls back to a full rescan.
+    assert!(db.find(specs[0].study_key()).is_none());
+    assert_eq!(db.len(), 2);
+}
+
+/// Linux only: `/dev/full` stands in for a full disk.
+#[cfg(target_os = "linux")]
+#[test]
+fn studydb_failed_append_can_be_retried() {
+    let tmp = TempDir::new();
+    let [(spec, study), _] = two_studies();
+    let record = StudyRecord::new(&spec, &study, "local", Duration::ZERO);
+    let path = tmp.0.join("full.mwdb");
+    std::os::unix::fs::symlink("/dev/full", &path).expect("link to /dev/full");
+    let db = StudyDb::open(&path).expect("open");
+    assert!(db.append(&record).is_err(), "writes to /dev/full fail");
+    // Room again: an empty file in the same place, which the index
+    // sees as unchanged.
+    fs::remove_file(&path).expect("unlink");
+    fs::write(&path, b"").expect("empty db file");
+    assert!(
+        db.append(&record).expect("retried append"),
+        "a failed append must not mark its record as already on disk"
+    );
+    assert_eq!(
+        db.find(spec.study_key()).expect("hit").digest,
+        study.digest()
+    );
+}

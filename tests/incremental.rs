@@ -8,13 +8,12 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use mwc_core::cache::{StageKind, StageStats, StudyCache};
 use mwc_core::pipeline::Characterization;
 use mwc_core::StudySpec;
 use mwc_obs::metrics::Metric;
-use mwc_obs::Value;
+use mwc_obs::{Collector, Value};
 use mwc_profiler::FaultConfig;
 use mwc_soc::config::SocConfig;
 
@@ -46,15 +45,6 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.0);
     }
-}
-
-/// Collection state is process-global, so tests that flip it must not
-/// interleave.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
 }
 
 fn base_spec() -> StudySpec {
@@ -89,19 +79,17 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
     }
 
     // Incremental pass in a fresh instance (models a new process), traced
-    // so the simulation counters are visible.
+    // into its own collector so the simulation counters are visible and
+    // hold only this pass: work other tests run concurrently in this
+    // process never reaches it.
     let warm = StudyCache::with_dir(&tmp.0);
-    let (study, data, metrics) = {
-        let _g = lock();
-        mwc_obs::reset();
-        mwc_obs::set_enabled(true);
-        let study = warm.study_spec(&patched).expect("incremental study");
-        let data = mwc_obs::trace::drain();
-        let metrics = mwc_obs::metrics::snapshot();
-        mwc_obs::set_enabled(false);
-        mwc_obs::reset();
-        (study, data, metrics)
+    let collector = Collector::new();
+    let study = {
+        let _scope = collector.install();
+        warm.study_spec(&patched).expect("incremental study")
     };
+    let data = collector.drain();
+    let metrics = collector.metrics();
 
     // Cache's own accounting: 17 units replayed from disk, 1 recomputed.
     let derive = warm.stage(StageKind::Derive);
@@ -169,18 +157,15 @@ fn analysis_only_change_runs_with_zero_simulation() {
     // request outright, and featurization reuses the memoized bundle — no
     // engine runs anywhere.
     let warm = StudyCache::with_dir(&tmp.0);
-    let (first, second, metrics) = {
-        let _g = lock();
-        mwc_obs::reset();
-        mwc_obs::set_enabled(true);
+    let collector = Collector::new();
+    let (first, second) = {
+        let _scope = collector.install();
         let study = warm.study_spec(&base).expect("warm study");
         let first = warm.features(&study).expect("featurize");
         let second = warm.features(&study).expect("memoized featurize");
-        let metrics = mwc_obs::metrics::snapshot();
-        mwc_obs::set_enabled(false);
-        mwc_obs::reset();
-        (first, second, metrics)
+        (first, second)
     };
+    let metrics = collector.metrics();
 
     assert!(
         !metrics.iter().any(|(n, _)| n == "soc.runs"),

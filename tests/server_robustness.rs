@@ -280,3 +280,72 @@ fn shutdown_mid_request_drains_the_in_flight_request_completely() {
         "post-drain connect must be refused, got {refused:?}"
     );
 }
+
+#[test]
+fn every_shed_client_reads_its_503_even_mid_body() {
+    // One worker, one queue slot, both held for the whole stress phase:
+    // every later connection is shed at accept time, before its body is
+    // read. The bodies are larger than loopback socket buffers absorb
+    // (and than MAX_BODY, which a shed never checks), so every client is
+    // still writing when its 503 arrives.
+    const CLIENTS: usize = 16;
+    const PER_CLIENT: usize = 16;
+    const BODY: usize = 2 * 1024 * 1024;
+    let server = boot(|c| {
+        c.workers = 1;
+        c.queue_depth = 1;
+        c.test_hooks = true;
+    });
+    let addr = server.local_addr().to_string();
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let start = std::time::Instant::now();
+        while !done() {
+            assert!(start.elapsed() < TIMEOUT, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let blocker = {
+        let addr = addr.clone();
+        thread::spawn(move || post_study(&addr, "held", &[("x-mwc-test-sleep-ms", "2000")]))
+    };
+    wait_for("the worker to hold a request", &|| {
+        server.stats().requests == 1
+    });
+    let queued = {
+        let addr = addr.clone();
+        thread::spawn(move || post_study(&addr, "queued", &[]))
+    };
+    wait_for("the queue slot to fill", &|| server.stats().accepted == 2);
+
+    let body = std::sync::Arc::new(vec![b'x'; BODY]);
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let addr = addr.clone();
+            let body = std::sync::Arc::clone(&body);
+            thread::spawn(move || {
+                (0..PER_CLIENT)
+                    .map(|_| client::request(&addr, "POST", "/study", &[], &body, TIMEOUT))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let results: Vec<_> = clients
+        .into_iter()
+        .flat_map(|c| c.join().expect("client thread joins"))
+        .collect();
+    assert_eq!(results.len(), CLIENTS * PER_CLIENT);
+    for result in &results {
+        let resp = result
+            .as_ref()
+            .unwrap_or_else(|e| panic!("a shed client lost its 503: {e}"));
+        assert_eq!(resp.status, 503, "{}", resp.body_str());
+        assert_eq!(resp.header("retry-after"), Some("1"));
+    }
+
+    assert_eq!(blocker.join().expect("blocker joins").status, 400);
+    assert_eq!(queued.join().expect("queued joins").status, 400);
+    server.request_shutdown();
+    let stats = server.join();
+    assert_eq!(stats.shed, (CLIENTS * PER_CLIENT) as u64);
+    assert_eq!(stats.panics, 0);
+}
