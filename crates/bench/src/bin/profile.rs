@@ -136,13 +136,10 @@ fn run() -> Result<(), PipelineError> {
     }
     println!("{}", stage_table.render());
 
-    mwc_bench::header("Fleet execution");
-    println!("backend: {}", mwc_core::exec::announce());
-    // Machine-parseable one-liners shared with the `sweep` binary:
-    // `shipped` counts artifacts merged from subprocess shards, and the
-    // studydb `hits` line is what makes DB replay distinguishable from
+    mwc_bench::header("Study database");
+    // Machine-parseable one-liner shared with the `sweep` binary: the
+    // studydb `hits` count is what makes DB replay distinguishable from
     // the result cache's own hit counters above.
-    println!("{}", mwc_bench::exec_stats_line());
     println!("{}", mwc_bench::studydb_stats_line());
 
     mwc_bench::header("Capture health");

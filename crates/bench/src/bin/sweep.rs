@@ -5,10 +5,9 @@
 //! digest. Each point goes study-database-first: a point whose
 //! `study_key` is already recorded in `MWC_STUDY_DB` is *replayed* from
 //! the DB (no simulation — the `soc_runs` figure in the stats line is
-//! the oracle), everything else is computed through the configured
-//! execution backend (`MWC_EXEC`) and appended to the DB. Interrupt a
-//! sweep (or truncate one with `--limit`), re-run the same command, and
-//! it finishes only the missing points.
+//! the oracle), everything else is computed in process and appended to
+//! the DB. Interrupt a sweep (or truncate one with `--limit`), re-run
+//! the same command, and it finishes only the missing points.
 //!
 //! ```text
 //! sweep [--seeds N] [--base-seed S] [--runs R] [--units "A, B"] [--limit K]
@@ -16,7 +15,7 @@
 
 use std::time::Instant;
 
-use mwc_bench::{counter, exec_stats_line, header, run_or_exit, studydb_stats_line};
+use mwc_bench::{counter, header, run_or_exit, studydb_stats_line};
 use mwc_core::studydb::{self, StudyRecord};
 use mwc_core::{Characterization, StudyCache, StudySpec};
 use mwc_soc::config::SocConfig;
@@ -103,22 +102,20 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        // Counters (soc.runs, exec.*, studydb.*) are the sweep's own
+        // Counters (soc.runs, studydb.*) are the sweep's own
         // telemetry; collection is digest-neutral by contract.
         mwc_obs::set_enabled(true);
         let db = studydb::global();
-        let exec_desc = mwc_core::exec::announce();
 
         header("Study sweep");
         println!(
-            "points={} base_seed={} runs={} units={} exec={} db={}",
+            "points={} base_seed={} runs={} units={} db={}",
             args.seeds,
             args.base_seed,
             args.runs,
             args.units
                 .as_ref()
                 .map_or("all".to_owned(), |u| u.len().to_string()),
-            exec_desc,
             db.map_or("off".to_owned(), |d| d.path().display().to_string()),
         );
 
@@ -153,7 +150,7 @@ fn main() {
                         let _ = d.append(&StudyRecord::new(
                             &spec,
                             &study,
-                            exec_desc.as_str(),
+                            "local",
                             point_start.elapsed(),
                         ));
                     }
@@ -181,7 +178,6 @@ fn main() {
             counter("soc.runs"),
             started.elapsed().as_millis(),
         );
-        println!("{}", exec_stats_line());
         println!("{}", studydb_stats_line());
         Ok(())
     });

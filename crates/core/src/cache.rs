@@ -51,12 +51,12 @@ use mwc_soc::config::SocConfig;
 use mwc_workloads::registry::{all_units, ClusterLabel, Suite};
 
 use crate::error::PipelineError;
-use crate::exec::UnitArtifact;
 use crate::features::FeatureSet;
 use crate::pipeline::{
     Characterization, DegradationReport, FailedUnit, Fnv1a, UnitProfile, UnitSeries,
 };
 use crate::spec::StudySpec;
+use crate::stages::UnitArtifact;
 
 /// Set to `off` / `0` / `false` to disable both cache layers.
 pub const CACHE_MODE_ENV: &str = "MWC_CACHE";
@@ -434,19 +434,8 @@ impl StudyCache {
     /// override re-simulates exactly that unit, and an analysis-only
     /// change simulates nothing.
     pub fn study_spec(&self, spec: &StudySpec) -> Result<Arc<Characterization>, PipelineError> {
-        self.study_spec_with(crate::exec::global(), spec)
-    }
-
-    /// [`StudyCache::study_spec`] with an explicit execution backend —
-    /// the seam the fleet tests use to pin a backend without touching
-    /// the process-wide `MWC_EXEC` selection.
-    pub fn study_spec_with(
-        &self,
-        exec: &dyn crate::exec::Exec,
-        spec: &StudySpec,
-    ) -> Result<Arc<Characterization>, PipelineError> {
         if !self.enabled {
-            return Ok(Arc::new(crate::stages::execute_with(exec, spec, None)?));
+            return Ok(Arc::new(crate::stages::execute(spec, None)?));
         }
         let key = spec.study_key();
         let mut span = mwc_obs::span("cache.study");
@@ -467,7 +456,7 @@ impl StudyCache {
             return Ok(study);
         }
         self.bump("cache.misses", |s| s.misses += 1);
-        let study = Arc::new(crate::stages::execute_with(exec, spec, Some(self))?);
+        let study = Arc::new(crate::stages::execute(spec, Some(self))?);
         // One digest pass serves the entry header and the digest index.
         let digest = study.digest();
         self.persist("study", key, &encode_digested_study(key, &study, digest));

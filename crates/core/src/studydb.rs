@@ -104,7 +104,8 @@ pub struct RecordMeta {
     pub units: u32,
     /// Units that failed every capture attempt.
     pub failed_units: u32,
-    /// Description of the backend that ran it (e.g. `subprocess:4`).
+    /// The backend that ran it: `local` for every record written now;
+    /// older records may name `subprocess:N`.
     pub exec: String,
     /// The spec in wire form (empty when the platform is not a preset
     /// the wire format can name).
@@ -447,35 +448,36 @@ impl StudyDb {
 /// The process-wide database named by [`STUDY_DB_ENV`], opened on first
 /// use (later env changes are not observed). `None` when the variable
 /// is unset, empty, or the file cannot be opened (counted in
-/// `studydb.errors`).
+/// `studydb.errors`). The first call also sets the `studydb.enabled`
+/// gauge, so a server that resolves it at boot names it on `/metrics`.
 pub fn global() -> Option<&'static StudyDb> {
     static GLOBAL: OnceLock<Option<StudyDb>> = OnceLock::new();
     GLOBAL
         .get_or_init(|| {
-            let path = std::env::var(STUDY_DB_ENV).ok().filter(|p| !p.is_empty())?;
-            match StudyDb::open(&path) {
-                Ok(db) => Some(db),
-                Err(_) => {
-                    mwc_obs::metrics::counter_add("studydb.errors", 1);
-                    None
-                }
-            }
+            let db = std::env::var(STUDY_DB_ENV)
+                .ok()
+                .filter(|p| !p.is_empty())
+                .and_then(|path| match StudyDb::open(&path) {
+                    Ok(db) => Some(db),
+                    Err(_) => {
+                        mwc_obs::metrics::counter_add("studydb.errors", 1);
+                        None
+                    }
+                });
+            let enabled = if db.is_some() { 1.0 } else { 0.0 };
+            mwc_obs::metrics::gauge_set("studydb.enabled", enabled);
+            db
         })
         .as_ref()
 }
 
 /// Persist a completed study into the global database, if one is
 /// configured. Called by the stage executor; never fails the study.
-pub(crate) fn record_completed(
-    spec: &StudySpec,
-    study: &Characterization,
-    exec: &str,
-    elapsed: Duration,
-) {
+pub(crate) fn record_completed(spec: &StudySpec, study: &Characterization, elapsed: Duration) {
     let Some(db) = global() else {
         return;
     };
-    let record = StudyRecord::new(spec, study, exec, elapsed);
+    let record = StudyRecord::new(spec, study, "local", elapsed);
     if db.append(&record).is_err() {
         mwc_obs::metrics::counter_add("studydb.errors", 1);
     }

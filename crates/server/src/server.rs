@@ -235,14 +235,9 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        // Studies are served through the process-wide Exec backend
-        // (MWC_EXEC); publish the fleet configuration on /metrics
-        // (exec_shards, studydb_enabled) before any study runs.
-        let exec = mwc_core::exec::announce();
-        mwc_obs::event_with(
-            "server.exec",
-            vec![("backend".to_owned(), mwc_obs::Value::Str(exec))],
-        );
+        // Open the study DB now, so /metrics names `studydb_enabled`
+        // before any study runs.
+        mwc_core::studydb::global();
 
         let cache = match &config.cache_dir {
             Some(dir) => StudyCache::with_dir(dir.clone()),
@@ -680,10 +675,13 @@ fn post_study(
     let Ok(body) = str::from_utf8(&req.body) else {
         return Response::error(400, "wire", "body is not utf-8");
     };
-    let spec = match from_wire(body) {
+    let mut spec = match from_wire(body) {
         Ok(spec) => spec,
         Err(e) => return Response::error(400, "wire", &e.to_string()),
     };
+    // A client's `threads = N` is only advice: every study runs on the
+    // server's own thread budget, on top of its fixed worker pool.
+    spec.threads = mwc_parallel::configured_threads();
     if let Err(e) = spec.validate() {
         return Response::error(400, "spec", &e.to_string());
     }
@@ -812,6 +810,39 @@ mod tests {
         assert!(body.contains("\"units_requested\":1"));
         assert!(body.contains("\"elapsed_us\":1234"));
         assert!(body.contains("\"failed_units\":[]"));
+    }
+
+    #[test]
+    fn client_thread_count_never_reaches_the_cache() {
+        let server = Server::bind(ServerConfig::default()).expect("server binds");
+        let req = Request {
+            method: "POST".to_owned(),
+            target: "/study".to_owned(),
+            headers: Vec::new(),
+            body: b"mwc-spec v1\nconfig = snapdragon_888\nseed = 91\nruns = 1\nunits = Aitutu\nthreads = 64\n"
+                .to_vec(),
+        };
+        // The study runs on this thread, so the executor's
+        // `pipeline.threads` gauge (the spec's thread count) lands here.
+        let collector = mwc_obs::Collector::new();
+        let response = {
+            let _scope = collector.install();
+            post_study(
+                server.state(),
+                &req,
+                Deadline::new(Duration::from_secs(60)),
+                &mut RequestScope::default(),
+            )
+        };
+        server.request_shutdown();
+        server.join();
+        assert_eq!(response.status, 200);
+        match collector.metric("pipeline.threads") {
+            Some(mwc_obs::metrics::Metric::Gauge(threads)) => {
+                assert_eq!(threads, mwc_parallel::configured_threads() as f64);
+            }
+            other => panic!("expected a pipeline.threads gauge, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,32 +1,20 @@
-//! Integration tests of the fleet execution layer: subprocess shards
-//! must be bit-identical to the in-process pool (including when a
-//! worker is killed mid-study), and the append-only study database must
-//! round-trip, survive torn/corrupt records, and make an interrupted
-//! sweep resumable without re-simulation.
-//!
-//! The subprocess tests re-spawn *this* test binary as the worker: the
-//! [`worker_entry`] test hosts [`mwc_core::exec::worker_guard`], and the
-//! coordinator launches `<exe> worker_entry --exact --nocapture` so the
-//! child runs exactly that guard. When `MWC_EXEC_WORKER` is unset (a
-//! normal `cargo test` run) the hook is a no-op pass.
+//! Integration tests of the append-only study database: it must
+//! round-trip, survive torn/corrupt records, keep its index right when
+//! other handles write the file, and make an interrupted sweep
+//! resumable without re-simulation.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use mwc_core::exec::{self, Exec, LocalExec, SubprocessExec, EXEC_TEST_ABORT_ENV};
 use mwc_core::studydb::{StudyDb, StudyRecord};
-use mwc_core::StudySpec;
+use mwc_core::{Characterization, StudySpec};
 use mwc_obs::metrics::Metric;
+use mwc_obs::Collector;
 use mwc_soc::config::SocConfig;
 
-/// Argv that routes a re-spawn of this libtest binary into worker mode.
-const WORKER_ARGS: [&str; 3] = ["worker_entry", "--exact", "--nocapture"];
-
-/// Three units, so two shards get a 2/1 split and the round-robin merge
-/// is exercised.
+/// Three units per study point.
 const UNITS: [&str; 3] = ["Aitutu", "Antutu CPU", "Antutu GPU"];
 
 /// A unique throwaway directory per test (removed on drop).
@@ -51,15 +39,6 @@ impl Drop for TempDir {
     }
 }
 
-/// Collection state and the process environment are global; tests that
-/// touch either (or that count `soc.runs`) must not interleave.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
 fn spec_for(seed: u64) -> StudySpec {
     StudySpec::new(SocConfig::snapdragon_888(), seed, 1)
         .with_units(UNITS)
@@ -77,87 +56,14 @@ fn counter(metrics: &[(String, Metric)], name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// The worker hook: a no-op under a plain test run, the protocol server
-/// when this binary is re-spawned as a fleet shard.
-#[test]
-fn worker_entry() {
-    mwc_core::exec::worker_guard();
-}
-
-#[test]
-fn two_shard_subprocess_is_bit_identical_to_local() {
-    let _g = lock();
-    mwc_obs::reset();
-    mwc_obs::set_enabled(true);
-    let spec = spec_for(4242);
-    let local = exec::run_study(&LocalExec, &spec, None).expect("local study");
-    let sharded = SubprocessExec::new(2).with_worker_args(WORKER_ARGS);
-    let sub = exec::run_study(&sharded, &spec, None).expect("sharded study");
-    let metrics = mwc_obs::metrics::snapshot();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
-    drop(_g);
-
-    assert_eq!(
-        local.digest(),
-        sub.digest(),
-        "a 2-shard subprocess study must be bit-identical to in-process"
-    );
-    assert_eq!(
-        counter(&metrics, "exec.units_shipped"),
-        UNITS.len() as u64,
-        "every unit arrived from a worker"
-    );
-    assert_eq!(counter(&metrics, "exec.worker_failures"), 0);
-    assert_eq!(counter(&metrics, "exec.units_fallback"), 0);
-}
-
-#[test]
-fn killed_shard_is_retried_and_digest_unchanged() {
-    let _g = lock();
-    let tmp = TempDir::new();
-    let marker = tmp.0.join("abort-once");
-    let spec = spec_for(5151);
-    let baseline = exec::run_study(&LocalExec, &spec, None).expect("local study");
-
-    mwc_obs::reset();
-    mwc_obs::set_enabled(true);
-    // The first worker to serve a request wins the marker file and
-    // aborts before replying — a mid-study SIGKILL stand-in.
-    std::env::set_var(EXEC_TEST_ABORT_ENV, &marker);
-    let sharded = SubprocessExec::new(2)
-        .with_retries(2)
-        .with_worker_args(WORKER_ARGS);
-    let sub = exec::run_study(&sharded, &spec, None);
-    std::env::remove_var(EXEC_TEST_ABORT_ENV);
-    let metrics = mwc_obs::metrics::snapshot();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
-    drop(_g);
-
-    let sub = sub.expect("a killed shard must not fail the study");
-    assert!(marker.exists(), "a worker took the abort marker");
-    assert!(
-        counter(&metrics, "exec.worker_failures") >= 1,
-        "the abort registered as a worker failure"
-    );
-    assert_eq!(
-        baseline.digest(),
-        sub.digest(),
-        "retry + fallback recovery is bit-identical to in-process"
-    );
-}
-
 #[test]
 fn studydb_round_trips_and_recovers_from_corruption() {
-    let _g = lock();
     let tmp = TempDir::new();
     let path = tmp.0.join("studies.mwdb");
     let spec_a = spec_for(6001);
     let spec_b = spec_for(6002);
-    let study_a = exec::run_study(&LocalExec, &spec_a, None).expect("study a");
-    let study_b = exec::run_study(&LocalExec, &spec_b, None).expect("study b");
-    drop(_g);
+    let study_a = Characterization::try_run_spec(&spec_a).expect("study a");
+    let study_b = Characterization::try_run_spec(&spec_b).expect("study b");
 
     let rec_a = StudyRecord::new(&spec_a, &study_a, "local", Duration::from_millis(5));
     let rec_b = StudyRecord::new(&spec_b, &study_b, "subprocess:2", Duration::from_millis(7));
@@ -235,22 +141,22 @@ fn interrupted_sweep_resumes_from_the_db_without_resimulating() {
     let path = tmp.0.join("resume.mwdb");
     let seeds = [9001u64, 9002, 9003];
 
-    let _g = lock();
     // "Interrupted" first pass: only the first point completed before
     // the sweep died.
     {
         let db = StudyDb::open(&path).expect("open");
         let spec = spec_for(seeds[0]);
-        let study = exec::run_study(&LocalExec, &spec, None).expect("first point");
+        let study = Characterization::try_run_spec(&spec).expect("first point");
         db.append(&StudyRecord::new(&spec, &study, "local", Duration::ZERO))
             .expect("append first point");
     }
 
-    // Resume pass in a fresh handle (models a new process), traced so
-    // `soc.runs` counts exactly the simulations that happened.
+    // Resume pass in a fresh handle (models a new process), collected
+    // into its own scope so `soc.runs` counts exactly the simulations
+    // this pass ran.
     let db = StudyDb::open(&path).expect("reopen");
-    mwc_obs::reset();
-    mwc_obs::set_enabled(true);
+    let collector = Collector::new();
+    let scope = collector.install();
     let mut digests = Vec::new();
     let mut replayed = 0usize;
     for &seed in &seeds {
@@ -261,16 +167,15 @@ fn interrupted_sweep_resumes_from_the_db_without_resimulating() {
                 digests.push(study.digest());
             }
             None => {
-                let study = exec::run_study(&LocalExec, &spec, None).expect("computed point");
+                let study = Characterization::try_run_spec(&spec).expect("computed point");
                 db.append(&StudyRecord::new(&spec, &study, "local", Duration::ZERO))
                     .expect("append computed point");
                 digests.push(study.digest());
             }
         }
     }
-    let metrics = mwc_obs::metrics::snapshot();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
+    drop(scope);
+    let metrics = collector.metrics();
 
     assert_eq!(replayed, 1, "the finished point replays from the DB");
     // 2 uncomputed points × 3 units × 1 run each: the replayed point
@@ -284,7 +189,7 @@ fn interrupted_sweep_resumes_from_the_db_without_resimulating() {
 
     // Bit-identity of the resumed sweep against from-scratch runs.
     for (&seed, digest) in seeds.iter().zip(&digests) {
-        let cold = exec::run_study(&LocalExec, &spec_for(seed), None).expect("cold point");
+        let cold = Characterization::try_run_spec(&spec_for(seed)).expect("cold point");
         assert_eq!(
             cold.digest(),
             *digest,
@@ -293,23 +198,13 @@ fn interrupted_sweep_resumes_from_the_db_without_resimulating() {
     }
 }
 
-#[test]
-fn subprocess_backend_honors_exec_trait_metadata() {
-    let sharded = SubprocessExec::new(4);
-    assert_eq!(sharded.describe(), "subprocess:4");
-    assert_eq!(sharded.shards(), 4);
-    assert_eq!(LocalExec.describe(), "local");
-    assert_eq!(LocalExec.shards(), 1);
-}
-
 /// Two small studies (seeds 6101, 6102) and their specs, for the
 /// study-DB index tests. Records for further study keys reuse these
 /// studies: the index never looks inside a study.
-fn two_studies() -> [(StudySpec, mwc_core::Characterization); 2] {
-    let _g = lock();
+fn two_studies() -> [(StudySpec, Characterization); 2] {
     [6101, 6102].map(|seed| {
         let spec = spec_for(seed);
-        let study = exec::run_study(&LocalExec, &spec, None).expect("study");
+        let study = Characterization::try_run_spec(&spec).expect("study");
         (spec, study)
     })
 }
