@@ -100,14 +100,6 @@ fn run() -> Result<(), PipelineError> {
     println!("{}", cache_table.render());
 
     mwc_bench::header("Per-stage cache");
-    println!(
-        "stage entries: {}",
-        if cache.stage_entries_enabled() {
-            "on"
-        } else {
-            "off (MWC_CACHE_STAGES)"
-        }
-    );
     // Machine-parseable one-liner consumed by scripts/verify.sh's
     // incremental gate (sims = units simulated, reused = units replayed).
     println!("stage stats: {}", cache.stage_summary());
@@ -118,6 +110,7 @@ fn run() -> Result<(), PipelineError> {
         "misses",
         "stores",
         "corrupt",
+        "store failures",
         "read",
         "written",
     ]);
@@ -130,6 +123,7 @@ fn run() -> Result<(), PipelineError> {
             s.misses.to_string(),
             s.stores.to_string(),
             s.corrupt_entries.to_string(),
+            s.store_failures.to_string(),
             format!("{} B", s.bytes_read),
             format!("{} B", s.bytes_written),
         ]);

@@ -7,7 +7,7 @@
 //!
 //! Every binary runs the same deterministic study: the 18 characterization
 //! units on the simulated Snapdragon 888 platform, three runs each,
-//! seed 2024 — the `mwc_core::Characterization::run_default` protocol.
+//! seed 2024 — the `mwc_core::StudySpec::paper_default` protocol.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,7 +18,7 @@ use std::sync::{Mutex, OnceLock};
 use mwc_analysis::cluster::Clustering;
 use mwc_core::cache::StudyCache;
 use mwc_core::pipeline::Characterization;
-use mwc_core::PipelineError;
+use mwc_core::{PipelineError, StudySpec};
 use mwc_soc::config::SocConfig;
 
 /// Seed of the paper's default study protocol.
@@ -44,7 +44,7 @@ pub fn study_with(seed: u64, runs: usize) -> &'static Characterization {
     let mut studies = cache.lock().expect("study cache lock poisoned");
     studies.entry((seed, runs)).or_insert_with(|| {
         let study = StudyCache::global()
-            .study(&SocConfig::snapdragon_888(), seed, runs)
+            .study_spec(&StudySpec::new(SocConfig::snapdragon_888(), seed, runs))
             .unwrap_or_else(|e| panic!("default study failed: {e}"));
         &**Box::leak(Box::new(study))
     })

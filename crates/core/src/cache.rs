@@ -12,18 +12,22 @@
 //! * **Memory** — an intra-process map from cache key to shared
 //!   [`Characterization`] / [`ValidationSweep`] instances.
 //! * **Disk** — one file per entry under the cache directory,
-//!   `study-<key>.mwcc` / `sweep-<key>.mwcc`, written atomically (temp
-//!   file + rename) so readers never observe a partial entry.
+//!   `study-<key>.mwcc` / `sweep-<key>.mwcc` / `unit-<key>.mwcc`, written
+//!   atomically (temp file + rename) so readers never observe a partial
+//!   entry. Every kind is read through one helper (`read_entry`), written
+//!   through one other (`write_entry`), and framed by the shared codec
+//!   (`crate::codec`, which documents the byte layouts).
 //!
 //! ## Keys
 //!
 //! Entries are addressed by an FNV-1a digest over everything that can
-//! influence the result: the schema version and crate version, the study
-//! protocol (seed, run count), [`SocConfig::content_digest`],
-//! [`FaultConfig::content_digest`] and the unit registry (names, suites,
-//! labels). Worker-thread count is deliberately *excluded*: results are
-//! bit-identical at any parallelism (see `mwc_parallel`), so thread count
-//! must not fragment the key space.
+//! influence the result ([`StudySpec::study_key`], [`StudySpec::unit_key`],
+//! [`sweep_key`]): the schema version and crate version, the study
+//! protocol (seed, run count), the platform and fault-model content
+//! digests and the unit registry (names, suites, labels). Worker-thread
+//! count is deliberately *excluded*: results are bit-identical at any
+//! parallelism (see `mwc_parallel`), so thread count must not fragment
+//! the key space.
 //!
 //! ## Corruption handling
 //!
@@ -45,15 +49,16 @@ use mwc_analysis::error::AnalysisError;
 use mwc_analysis::matrix::Matrix;
 use mwc_analysis::validation::{sweep as run_sweep, Algorithm, SweepPoint, ValidationSweep};
 use mwc_profiler::derive::BenchmarkMetrics;
-use mwc_profiler::faults::{CaptureHealth, FaultConfig};
+use mwc_profiler::faults::CaptureHealth;
 use mwc_profiler::timeseries::TimeSeries;
-use mwc_soc::config::SocConfig;
-use mwc_workloads::registry::{all_units, ClusterLabel, Suite};
+use mwc_workloads::registry::{ClusterLabel, Suite};
 
+use crate::codec::{unseal, Dec, Enc};
 use crate::error::PipelineError;
 use crate::features::FeatureSet;
 use crate::pipeline::{
-    Characterization, DegradationReport, FailedUnit, Fnv1a, UnitProfile, UnitSeries,
+    health_values, metric_values, series_refs, Characterization, DegradationReport, FailedUnit,
+    Fnv1a, UnitProfile, UnitSeries,
 };
 use crate::spec::StudySpec;
 use crate::stages::UnitArtifact;
@@ -64,11 +69,6 @@ pub const CACHE_MODE_ENV: &str = "MWC_CACHE";
 pub const CACHE_DIR_ENV: &str = "MWC_CACHE_DIR";
 /// Overrides the maximum number of on-disk entries before eviction.
 pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
-/// Set to `off` / `0` / `false` to disable the per-unit stage-artifact
-/// layer (the whole-study and sweep layers stay active). With stage
-/// entries off a one-knob change re-simulates the full study, as the
-/// pre-stage-graph pipeline did.
-pub const CACHE_STAGES_ENV: &str = "MWC_CACHE_STAGES";
 
 /// Version of the serialized entry format *and* of the data model it
 /// memoizes. Bump on any change to the simulation, capture, merge or
@@ -82,28 +82,6 @@ const DEFAULT_MAX_ENTRIES: usize = 64;
 const STUDY_MAGIC: &[u8; 4] = b"MWCC";
 const SWEEP_MAGIC: &[u8; 4] = b"MWCS";
 const UNIT_MAGIC: &[u8; 4] = b"MWCU";
-
-/// The content-addressed key of a study: a stable digest of everything
-/// that can change a [`Characterization`]. Stable across processes and
-/// machines; changes whenever any keyed input changes.
-pub fn study_key(config: &SocConfig, seed: u64, runs: usize, faults: &FaultConfig) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str("mwc-study");
-    h.write_u64(u64::from(CACHE_SCHEMA_VERSION));
-    h.write_str(env!("CARGO_PKG_VERSION"));
-    h.write_u64(seed);
-    h.write_usize(runs);
-    h.write_u64(config.content_digest());
-    h.write_u64(faults.content_digest());
-    let units = all_units();
-    h.write_usize(units.len());
-    for u in &units {
-        h.write_str(u.name);
-        h.write_str(u.suite.name());
-        h.write_str(u.label.name());
-    }
-    h.finish()
-}
 
 /// The content-addressed key of a Fig-4 validation sweep over a feature
 /// matrix (`matrix_digest` from [`Matrix::digest`]) and a k range. The
@@ -225,6 +203,8 @@ pub struct StageStats {
     pub stores: u64,
     /// Disk artifacts that failed validation and were discarded.
     pub corrupt_entries: u64,
+    /// Disk writes that failed (the artifact is still used).
+    pub store_failures: u64,
     /// Bytes deserialized from disk.
     pub bytes_read: u64,
     /// Bytes written to disk.
@@ -244,7 +224,6 @@ impl StageStats {
 #[derive(Debug)]
 pub struct StudyCache {
     enabled: bool,
-    stage_entries: bool,
     dir: Option<PathBuf>,
     max_entries: usize,
     studies: Mutex<HashMap<u64, Arc<Characterization>>>,
@@ -263,7 +242,6 @@ impl StudyCache {
     fn new(enabled: bool, dir: Option<PathBuf>, max_entries: usize) -> Self {
         StudyCache {
             enabled,
-            stage_entries: enabled,
             dir,
             max_entries,
             studies: Mutex::new(HashMap::new()),
@@ -301,15 +279,7 @@ impl StudyCache {
             .and_then(|v| v.parse().ok())
             .filter(|&n| n > 0)
             .unwrap_or(DEFAULT_MAX_ENTRIES);
-        let stages_off = env::var(CACHE_STAGES_ENV)
-            .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v == "off" || v == "0" || v == "false"
-            })
-            .unwrap_or(false);
-        let mut cache = StudyCache::new(true, Some(dir), max_entries);
-        cache.stage_entries = !stages_off;
-        cache
+        StudyCache::new(true, Some(dir), max_entries)
     }
 
     /// An enabled cache persisting to an explicit directory (tests).
@@ -342,12 +312,6 @@ impl StudyCache {
     /// The disk directory, if a persistent layer is configured.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
-    }
-
-    /// Whether the per-unit stage-artifact layer is active (see
-    /// [`CACHE_STAGES_ENV`]).
-    pub fn stage_entries_enabled(&self) -> bool {
-        self.enabled && self.stage_entries
     }
 
     /// A snapshot of the counters.
@@ -392,42 +356,9 @@ impl StudyCache {
         }
     }
 
-    /// A fault-free study on `config` with the given protocol, served from
-    /// the cache when warm (worker count from `MWC_THREADS`; excluded from
-    /// the key because results are parallelism-invariant).
-    pub fn study(
-        &self,
-        config: &SocConfig,
-        seed: u64,
-        runs: usize,
-    ) -> Result<Arc<Characterization>, PipelineError> {
-        self.study_with_faults(
-            config,
-            seed,
-            runs,
-            mwc_parallel::configured_threads(),
-            &FaultConfig::default(),
-        )
-    }
-
-    /// [`StudyCache::study`] with explicit worker count and fault model.
-    /// A warm hit is guaranteed bit-identical to the cold computation
-    /// (the stored [`Characterization::digest`] is re-verified on load).
-    pub fn study_with_faults(
-        &self,
-        config: &SocConfig,
-        seed: u64,
-        runs: usize,
-        threads: usize,
-        faults: &FaultConfig,
-    ) -> Result<Arc<Characterization>, PipelineError> {
-        let spec = StudySpec::new(config.clone(), seed, runs)
-            .with_faults(faults.clone())
-            .with_threads(threads);
-        self.study_spec(&spec)
-    }
-
-    /// The study described by `spec`, served from the cache when warm.
+    /// The study described by `spec`, served from the cache when warm. A
+    /// warm hit is guaranteed bit-identical to the cold computation (the
+    /// stored [`Characterization::digest`] is re-verified on load).
     /// On a miss the staged executor runs *through* this cache, so
     /// per-unit artifacts persisted by earlier, differently-keyed studies
     /// are replayed: after a warm capture, changing one unit's fault
@@ -459,7 +390,7 @@ impl StudyCache {
         let study = Arc::new(crate::stages::execute(spec, Some(self))?);
         // One digest pass serves the entry header and the digest index.
         let digest = study.digest();
-        self.persist("study", key, &encode_digested_study(key, &study, digest));
+        self.store_study(key, &study, digest);
         self.index_study(key, &study, digest);
         Ok(study)
     }
@@ -560,36 +491,43 @@ impl StudyCache {
             self.stage_bump(StageKind::Analyze, "mem_hits", 1, |s| s.mem_hits += 1);
             return Ok(hit);
         }
-        if let Some(path) = self.entry_path("sweep", key) {
-            if let Ok(bytes) = fs::read(&path) {
-                if let Some(s) = decode_sweep(key, &bytes) {
-                    let n = bytes.len() as u64;
-                    self.bump("cache.disk_hits", |st| st.disk_hits += 1);
-                    self.stage_bump(StageKind::Analyze, "disk_hits", 1, |st| st.disk_hits += 1);
-                    self.stage_bump(StageKind::Analyze, "bytes_read", n, |st| st.bytes_read += n);
-                    self.sweeps
-                        .lock()
-                        .expect("sweep cache lock poisoned")
-                        .insert(key, s.clone());
-                    return Ok(s);
-                }
+        match self.read_entry(Entry::Sweep, key, decode_sweep) {
+            Disk::Hit(s, n) => {
+                self.bump("cache.disk_hits", |st| st.disk_hits += 1);
+                self.stage_bump(StageKind::Analyze, "disk_hits", 1, |st| st.disk_hits += 1);
+                self.stage_bump(StageKind::Analyze, "bytes_read", n, |st| st.bytes_read += n);
+                self.sweeps
+                    .lock()
+                    .expect("sweep cache lock poisoned")
+                    .insert(key, s.clone());
+                return Ok(s);
+            }
+            Disk::Corrupt => {
                 self.bump("cache.corrupt_entries", |st| st.corrupt_entries += 1);
                 self.stage_bump(StageKind::Analyze, "corrupt_entries", 1, |st| {
                     st.corrupt_entries += 1
                 });
-                let _ = fs::remove_file(&path);
             }
+            Disk::Absent => {}
         }
         self.bump("cache.misses", |s| s.misses += 1);
         self.stage_bump(StageKind::Analyze, "misses", 1, |s| s.misses += 1);
         let s = run_sweep(m, ks)?;
-        let bytes = encode_sweep(key, &s);
-        if self.persist("sweep", key, &bytes) {
+        if self.dir.is_some() {
+            let bytes = encode_sweep(key, &s);
             let n = bytes.len() as u64;
-            self.stage_bump(StageKind::Analyze, "stores", 1, |st| st.stores += 1);
-            self.stage_bump(StageKind::Analyze, "bytes_written", n, |st| {
-                st.bytes_written += n
-            });
+            if self.write_entry(Entry::Sweep, key, &bytes) {
+                self.bump("cache.stores", |st| st.stores += 1);
+                self.stage_bump(StageKind::Analyze, "stores", 1, |st| st.stores += 1);
+                self.stage_bump(StageKind::Analyze, "bytes_written", n, |st| {
+                    st.bytes_written += n
+                });
+            } else {
+                self.bump("cache.store_failures", |st| st.store_failures += 1);
+                self.stage_bump(StageKind::Analyze, "store_failures", 1, |st| {
+                    st.store_failures += 1
+                });
+            }
         }
         self.sweeps
             .lock()
@@ -598,28 +536,62 @@ impl StudyCache {
         Ok(s)
     }
 
-    fn entry_path(&self, kind: &str, key: u64) -> Option<PathBuf> {
+    fn entry_path(&self, kind: Entry, key: u64) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("{kind}-{key:016x}.mwcc")))
+            .map(|d| d.join(format!("{}-{key:016x}.mwcc", kind.name())))
+    }
+
+    /// Read and decode one disk entry; any defect is a miss, never an
+    /// error. A corrupt entry is deleted so the recompute re-stores it;
+    /// counting the outcome is the caller's.
+    fn read_entry<T>(
+        &self,
+        kind: Entry,
+        key: u64,
+        decode: impl FnOnce(u64, &[u8]) -> Option<T>,
+    ) -> Disk<T> {
+        let Some(path) = self.entry_path(kind, key) else {
+            return Disk::Absent;
+        };
+        let Ok(bytes) = fs::read(&path) else {
+            return Disk::Absent;
+        };
+        match decode(key, &bytes) {
+            Some(value) => Disk::Hit(value, bytes.len() as u64),
+            None => {
+                let _ = fs::remove_file(&path);
+                Disk::Corrupt
+            }
+        }
     }
 
     /// Read and validate a study entry, returning it with its verified
-    /// digest; any defect is a miss, never an error. A corrupt entry is
-    /// deleted so the recompute re-stores it.
+    /// digest.
     fn load_study(&self, key: u64) -> Option<(Characterization, u64)> {
-        let path = self.entry_path("study", key)?;
-        let bytes = fs::read(&path).ok()?;
-        match decode_verified_study(key, &bytes) {
-            Some(hit) => {
+        match self.read_entry(Entry::Study, key, decode_study) {
+            Disk::Hit(hit, _) => {
                 self.bump("cache.disk_hits", |s| s.disk_hits += 1);
                 Some(hit)
             }
-            None => {
+            Disk::Corrupt => {
                 self.bump("cache.corrupt_entries", |s| s.corrupt_entries += 1);
-                let _ = fs::remove_file(&path);
                 None
             }
+            Disk::Absent => None,
+        }
+    }
+
+    /// Write a study entry, counted in [`CacheStats`]; `digest` is
+    /// `study.digest()`, which the caller already holds.
+    fn store_study(&self, key: u64, study: &Characterization, digest: u64) {
+        if self.dir.is_none() {
+            return;
+        }
+        if self.write_entry(Entry::Study, key, &encode_study(key, study, digest)) {
+            self.bump("cache.stores", |s| s.stores += 1);
+        } else {
+            self.bump("cache.store_failures", |s| s.store_failures += 1);
         }
     }
 
@@ -627,9 +599,6 @@ impl StudyCache {
     /// Capture-stage counters mirror the derive ones: a hit means the
     /// unit's simulation was skipped, a miss means it executed.
     pub(crate) fn unit_artifact(&self, key: u64) -> Option<UnitArtifact> {
-        if !self.stage_entries_enabled() {
-            return None;
-        }
         if let Some(hit) = self
             .units
             .lock()
@@ -641,24 +610,23 @@ impl StudyCache {
             self.stage_bump(StageKind::Capture, "mem_hits", 1, |s| s.mem_hits += 1);
             return Some(hit);
         }
-        if let Some(path) = self.entry_path("unit", key) {
-            if let Ok(bytes) = fs::read(&path) {
-                if let Some(artifact) = decode_unit(key, &bytes) {
-                    let n = bytes.len() as u64;
-                    self.stage_bump(StageKind::Derive, "disk_hits", 1, |s| s.disk_hits += 1);
-                    self.stage_bump(StageKind::Derive, "bytes_read", n, |s| s.bytes_read += n);
-                    self.stage_bump(StageKind::Capture, "disk_hits", 1, |s| s.disk_hits += 1);
-                    self.units
-                        .lock()
-                        .expect("unit cache lock poisoned")
-                        .insert(key, artifact.clone());
-                    return Some(artifact);
-                }
+        match self.read_entry(Entry::Unit, key, decode_unit) {
+            Disk::Hit(artifact, n) => {
+                self.stage_bump(StageKind::Derive, "disk_hits", 1, |s| s.disk_hits += 1);
+                self.stage_bump(StageKind::Derive, "bytes_read", n, |s| s.bytes_read += n);
+                self.stage_bump(StageKind::Capture, "disk_hits", 1, |s| s.disk_hits += 1);
+                self.units
+                    .lock()
+                    .expect("unit cache lock poisoned")
+                    .insert(key, artifact.clone());
+                return Some(artifact);
+            }
+            Disk::Corrupt => {
                 self.stage_bump(StageKind::Derive, "corrupt_entries", 1, |s| {
                     s.corrupt_entries += 1
                 });
-                let _ = fs::remove_file(&path);
             }
+            Disk::Absent => {}
         }
         self.stage_bump(StageKind::Derive, "misses", 1, |s| s.misses += 1);
         self.stage_bump(StageKind::Capture, "misses", 1, |s| s.misses += 1);
@@ -667,18 +635,21 @@ impl StudyCache {
 
     /// Store a freshly computed unit artifact in both layers. Unit-entry
     /// disk traffic is accounted to the derive [`StageStats`] only — the
-    /// legacy [`CacheStats`] keep counting whole-study entries.
+    /// legacy [`CacheStats`] keep counting whole-study and sweep entries.
     pub(crate) fn store_unit_artifact(&self, key: u64, artifact: &UnitArtifact) {
-        if !self.stage_entries_enabled() {
-            return;
-        }
-        let bytes = encode_unit(key, artifact);
-        let n = bytes.len() as u64;
-        if self.write_entry("unit", key, &bytes) {
-            self.stage_bump(StageKind::Derive, "stores", 1, |s| s.stores += 1);
-            self.stage_bump(StageKind::Derive, "bytes_written", n, |s| {
-                s.bytes_written += n
-            });
+        if self.dir.is_some() {
+            let bytes = encode_unit(key, artifact);
+            let n = bytes.len() as u64;
+            if self.write_entry(Entry::Unit, key, &bytes) {
+                self.stage_bump(StageKind::Derive, "stores", 1, |s| s.stores += 1);
+                self.stage_bump(StageKind::Derive, "bytes_written", n, |s| {
+                    s.bytes_written += n
+                });
+            } else {
+                self.stage_bump(StageKind::Derive, "store_failures", 1, |s| {
+                    s.store_failures += 1
+                });
+            }
         }
         self.units
             .lock()
@@ -686,24 +657,10 @@ impl StudyCache {
             .insert(key, artifact.clone());
     }
 
-    /// Atomically write an entry (temp file + rename) and bump the legacy
-    /// counters. Failure degrades to "not cached" — the computed result is
-    /// unaffected. Returns whether the entry landed on disk.
-    fn persist(&self, kind: &str, key: u64, bytes: &[u8]) -> bool {
-        if self.dir.is_none() {
-            return false;
-        }
-        if self.write_entry(kind, key, bytes) {
-            self.bump("cache.stores", |s| s.stores += 1);
-            true
-        } else {
-            self.bump("cache.store_failures", |s| s.store_failures += 1);
-            false
-        }
-    }
-
-    /// The raw atomic write (temp file + rename), shared by the legacy
-    /// entries and the stage artifacts; bumps no counters itself.
+    /// Atomically write an entry (temp file + rename). Failure degrades to
+    /// "not cached" — the computed result is unaffected. Returns whether
+    /// the entry landed on disk (never, without a disk layer); counting
+    /// the outcome is the caller's.
     ///
     /// The temp name is unique per process *and* per write (pid plus a
     /// process-wide sequence number), so concurrent writers of the same
@@ -712,7 +669,7 @@ impl StudyCache {
     /// the final atomic rename. Whichever rename lands last wins with a
     /// complete entry; readers can never observe a torn file. A failed
     /// rename cleans up its temp file so crashes don't strand debris.
-    fn write_entry(&self, kind: &str, key: u64, bytes: &[u8]) -> bool {
+    fn write_entry(&self, kind: Entry, key: u64, bytes: &[u8]) -> bool {
         static TEMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let Some(path) = self.entry_path(kind, key) else {
             return false;
@@ -722,7 +679,8 @@ impl StudyCache {
             fs::create_dir_all(dir)?;
             let seq = TEMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let tmp = dir.join(format!(
-                ".tmp-{kind}-{key:016x}-{}-{seq}",
+                ".tmp-{}-{key:016x}-{}-{seq}",
+                kind.name(),
                 std::process::id()
             ));
             fs::write(&tmp, bytes)?;
@@ -786,6 +744,37 @@ impl StudyCache {
     }
 }
 
+/// The three kinds of disk entry, one `<name>-<key>.mwcc` file each.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// A whole study (`MWCC`).
+    Study,
+    /// A Fig-4 validation sweep (`MWCS`).
+    Sweep,
+    /// One unit's capture+derive artifact (`MWCU`).
+    Unit,
+}
+
+impl Entry {
+    fn name(self) -> &'static str {
+        match self {
+            Entry::Study => "study",
+            Entry::Sweep => "sweep",
+            Entry::Unit => "unit",
+        }
+    }
+}
+
+/// What [`StudyCache::read_entry`] found on disk.
+enum Disk<T> {
+    /// A valid entry, and its size in bytes.
+    Hit(T, u64),
+    /// An entry that failed to decode; it has been deleted.
+    Corrupt,
+    /// No entry, or no disk layer.
+    Absent,
+}
+
 fn default_dir() -> PathBuf {
     if let Ok(d) = env::var("XDG_CACHE_HOME") {
         if !d.is_empty() {
@@ -801,175 +790,21 @@ fn default_dir() -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec. Fixed little-endian layout; f64 round-trips by bit pattern
-// (NaN gap payloads included), so decode(encode(x)).digest() == x.digest().
+// Entry codecs, over the shared primitives and framing of `crate::codec`.
 // ---------------------------------------------------------------------------
 
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn raw(&mut self, bytes: &[u8]) {
-        self.0.extend_from_slice(bytes);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.raw(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.raw(s.as_bytes());
-    }
-}
-
-/// Bounds-checked little-endian reader: every accessor returns `None`
-/// instead of panicking on a short or lying buffer.
-struct Dec<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Dec { b, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.b.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.remaining() < n {
-            return None;
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.usize()?;
-        if len > self.remaining() {
-            return None;
-        }
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.b.len()
-    }
-}
-
-fn suite_index(s: Suite) -> u32 {
-    Suite::ALL
-        .iter()
-        .position(|&x| x == s)
-        .expect("every suite is in Suite::ALL") as u32
-}
-
-fn label_index(l: ClusterLabel) -> u32 {
-    ClusterLabel::ALL
-        .iter()
-        .position(|&x| x == l)
-        .expect("every label is in ClusterLabel::ALL") as u32
-}
-
-fn algorithm_index(a: Algorithm) -> u32 {
-    Algorithm::ALL
-        .iter()
-        .position(|&x| x == a)
-        .expect("every algorithm is in Algorithm::ALL") as u32
-}
-
-/// The 19 scalar metrics, in the fixed order shared by encode and decode
-/// (matches the [`Characterization::digest`] order).
-fn metric_values(m: &BenchmarkMetrics) -> [f64; 19] {
-    [
-        m.instruction_count,
-        m.ipc,
-        m.cache_mpki,
-        m.branch_mpki,
-        m.runtime_seconds,
-        m.cpu_load,
-        m.cpu_little_load,
-        m.cpu_mid_load,
-        m.cpu_big_load,
-        m.cpu_little_util,
-        m.cpu_mid_util,
-        m.cpu_big_util,
-        m.gpu_load,
-        m.gpu_shaders_busy,
-        m.gpu_bus_busy,
-        m.aie_load,
-        m.memory_used_fraction,
-        m.memory_peak_mib,
-        m.storage_busy,
-    ]
-}
-
-fn series_refs(s: &UnitSeries) -> [&TimeSeries; 12] {
-    [
-        &s.cpu_load,
-        &s.little_load,
-        &s.mid_load,
-        &s.big_load,
-        &s.gpu_load,
-        &s.shaders_busy,
-        &s.bus_busy,
-        &s.aie_load,
-        &s.memory_fraction,
-        &s.memory_mib,
-        &s.ipc,
-        &s.storage_busy,
-    ]
-}
-
-fn health_values(h: &CaptureHealth) -> [usize; 9] {
-    [
-        h.runs_requested,
-        h.runs_used,
-        h.attempts,
-        h.retries,
-        h.failed_runs,
-        h.truncated_runs,
-        h.dropped_samples,
-        h.overflow_wraps,
-        h.outliers_rejected,
-    ]
+/// The position of `x` in `all` — how enum values are encoded, and
+/// decoded by indexing the same `ALL` table.
+fn index_of<T: PartialEq>(all: &[T], x: T) -> u32 {
+    all.iter()
+        .position(|y| *y == x)
+        .expect("every variant is in its ALL table") as u32
 }
 
 fn encode_profile(e: &mut Enc, p: &UnitProfile) {
     e.str(&p.name);
-    e.u32(suite_index(p.suite));
-    e.u32(label_index(p.label));
+    e.u32(index_of(&Suite::ALL, p.suite));
+    e.u32(index_of(&ClusterLabel::ALL, p.label));
     e.str(&p.metrics.name);
     for v in metric_values(&p.metrics) {
         e.f64(v);
@@ -986,16 +821,10 @@ fn encode_profile(e: &mut Enc, p: &UnitProfile) {
     }
 }
 
-pub(crate) fn encode_study(key: u64, study: &Characterization) -> Vec<u8> {
-    encode_digested_study(key, study, study.digest())
-}
-
-/// [`encode_study`] for a caller that already holds `study.digest()`.
-fn encode_digested_study(key: u64, study: &Characterization, digest: u64) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    e.raw(STUDY_MAGIC);
-    e.u32(CACHE_SCHEMA_VERSION);
-    e.u64(key);
+/// Encode a study entry; `digest` is `study.digest()`, which the caller
+/// already holds.
+pub(crate) fn encode_study(key: u64, study: &Characterization, digest: u64) -> Vec<u8> {
+    let mut e = Enc::header(STUDY_MAGIC, CACHE_SCHEMA_VERSION, key);
     e.u64(digest);
     e.usize(study.profiles.len());
     for p in &study.profiles {
@@ -1095,23 +924,13 @@ fn decode_profile(d: &mut Dec<'_>) -> Option<UnitProfile> {
     })
 }
 
-/// Decode a study entry. Returns `None` — never an error, never a panic —
-/// unless the buffer fully parses under `expected_key` and the rebuilt
-/// study's digest matches the digest stored at encode time.
-pub(crate) fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characterization> {
-    decode_verified_study(expected_key, bytes).map(|(study, _)| study)
-}
-
-/// [`decode_study`], also returning the digest it verified.
-fn decode_verified_study(expected_key: u64, bytes: &[u8]) -> Option<(Characterization, u64)> {
+/// Decode a study entry, returning it with the digest it verified.
+/// Returns `None` — never an error, never a panic — unless the buffer
+/// fully parses under `expected_key` and the rebuilt study's digest
+/// matches the digest stored at encode time.
+pub(crate) fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<(Characterization, u64)> {
     let mut d = Dec::new(bytes);
-    if d.take(4)? != STUDY_MAGIC {
-        return None;
-    }
-    if d.u32()? != CACHE_SCHEMA_VERSION {
-        return None;
-    }
-    if d.u64()? != expected_key {
+    if d.header(STUDY_MAGIC, CACHE_SCHEMA_VERSION)? != expected_key {
         return None;
     }
     let stored_digest = d.u64()?;
@@ -1155,10 +974,7 @@ const UNIT_TAG_FAILED: u32 = 0;
 const UNIT_TAG_PROFILED: u32 = 1;
 
 pub(crate) fn encode_unit(key: u64, artifact: &UnitArtifact) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    e.raw(UNIT_MAGIC);
-    e.u32(CACHE_SCHEMA_VERSION);
-    e.u64(key);
+    let mut e = Enc::header(UNIT_MAGIC, CACHE_SCHEMA_VERSION, key);
     match artifact {
         UnitArtifact::Failed(error) => {
             e.u32(UNIT_TAG_FAILED);
@@ -1172,35 +988,15 @@ pub(crate) fn encode_unit(key: u64, artifact: &UnitArtifact) -> Vec<u8> {
     }
     // Failed artifacts carry no semantic digest, so integrity comes from a
     // trailing checksum over the whole payload (profiles get both).
-    let mut h = Fnv1a::new();
-    h.write_bytes(&e.0);
-    let checksum = h.finish();
-    e.u64(checksum);
-    e.0
+    e.seal(0)
 }
 
 /// Decode a unit artifact. Returns `None` — never an error, never a
 /// panic — unless the checksum, key, and (for profiles) the stored
 /// profile digest all verify.
 pub(crate) fn decode_unit(expected_key: u64, bytes: &[u8]) -> Option<UnitArtifact> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    let mut h = Fnv1a::new();
-    h.write_bytes(payload);
-    if h.finish() != stored {
-        return None;
-    }
-    let mut d = Dec::new(payload);
-    if d.take(4)? != UNIT_MAGIC {
-        return None;
-    }
-    if d.u32()? != CACHE_SCHEMA_VERSION {
-        return None;
-    }
-    if d.u64()? != expected_key {
+    let mut d = Dec::new(unseal(bytes)?.0);
+    if d.header(UNIT_MAGIC, CACHE_SCHEMA_VERSION)? != expected_key {
         return None;
     }
     match d.u32()? {
@@ -1221,13 +1017,10 @@ pub(crate) fn decode_unit(expected_key: u64, bytes: &[u8]) -> Option<UnitArtifac
 }
 
 pub(crate) fn encode_sweep(key: u64, s: &ValidationSweep) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    e.raw(SWEEP_MAGIC);
-    e.u32(CACHE_SCHEMA_VERSION);
-    e.u64(key);
+    let mut e = Enc::header(SWEEP_MAGIC, CACHE_SCHEMA_VERSION, key);
     e.usize(s.points.len());
     for p in &s.points {
-        e.u32(algorithm_index(p.algorithm));
+        e.u32(index_of(&Algorithm::ALL, p.algorithm));
         e.usize(p.k);
         for v in [p.dunn, p.silhouette, p.apn, p.ad] {
             e.f64(v);
@@ -1235,32 +1028,12 @@ pub(crate) fn encode_sweep(key: u64, s: &ValidationSweep) -> Vec<u8> {
     }
     // Sweeps have no semantic digest of their own, so integrity comes from
     // a trailing checksum over the entire payload.
-    let mut h = Fnv1a::new();
-    h.write_bytes(&e.0);
-    let checksum = h.finish();
-    e.u64(checksum);
-    e.0
+    e.seal(0)
 }
 
 pub(crate) fn decode_sweep(expected_key: u64, bytes: &[u8]) -> Option<ValidationSweep> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    let mut h = Fnv1a::new();
-    h.write_bytes(payload);
-    if h.finish() != stored {
-        return None;
-    }
-    let mut d = Dec::new(payload);
-    if d.take(4)? != SWEEP_MAGIC {
-        return None;
-    }
-    if d.u32()? != CACHE_SCHEMA_VERSION {
-        return None;
-    }
-    if d.u64()? != expected_key {
+    let mut d = Dec::new(unseal(bytes)?.0);
+    if d.header(SWEEP_MAGIC, CACHE_SCHEMA_VERSION)? != expected_key {
         return None;
     }
     let n = d.usize()?;
@@ -1294,6 +1067,9 @@ pub(crate) fn decode_sweep(expected_key: u64, bytes: &[u8]) -> Option<Validation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fnv64;
+    use mwc_profiler::faults::FaultConfig;
+    use mwc_soc::config::SocConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A unique throwaway directory per test (removed on drop).
@@ -1421,8 +1197,8 @@ mod tests {
     fn study_roundtrip_is_bit_identical() {
         let study = tiny_study();
         let key = 0x1234_5678_9abc_def0;
-        let bytes = encode_study(key, &study);
-        let back = decode_study(key, &bytes).expect("well-formed entry decodes");
+        let bytes = encode_study(key, &study, study.digest());
+        let (back, _) = decode_study(key, &bytes).expect("well-formed entry decodes");
         assert_eq!(back.digest(), study.digest());
         assert_eq!(back.report, study.report);
         assert_eq!(back.profiles.len(), study.profiles.len());
@@ -1432,7 +1208,7 @@ mod tests {
     fn every_single_byte_corruption_is_detected() {
         let study = tiny_study();
         let key = 42;
-        let bytes = encode_study(key, &study);
+        let bytes = encode_study(key, &study, study.digest());
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0xFF;
@@ -1447,7 +1223,7 @@ mod tests {
     fn truncated_and_mismatched_entries_are_rejected() {
         let study = tiny_study();
         let key = 7;
-        let bytes = encode_study(key, &study);
+        let bytes = encode_study(key, &study, study.digest());
         for len in [0, 1, 4, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_study(key, &bytes[..len]).is_none(), "prefix {len}");
         }
@@ -1473,6 +1249,11 @@ mod tests {
 
     #[test]
     fn study_key_changes_with_every_input() {
+        let study_key = |cfg: &SocConfig, seed, runs, faults: &FaultConfig| {
+            StudySpec::new(cfg.clone(), seed, runs)
+                .with_faults(faults.clone())
+                .study_key()
+        };
         let cfg = SocConfig::snapdragon_888();
         let faults = FaultConfig::default();
         let base = study_key(&cfg, 2024, 3, &faults);
@@ -1508,7 +1289,7 @@ mod tests {
         let cache = StudyCache::with_dir(&tmp.0);
         let study = tiny_study();
         let key = 0xfeed;
-        cache.persist("study", key, &encode_study(key, &study));
+        cache.store_study(key, &study, study.digest());
         assert_eq!(cache.stats().stores, 1);
 
         let (loaded, digest) = cache.load_study(key).expect("warm entry loads");
@@ -1518,7 +1299,7 @@ mod tests {
 
         // Scribble over the entry: the next load degrades to a miss and
         // removes the bad file.
-        let path = cache.entry_path("study", key).expect("disk layer");
+        let path = cache.entry_path(Entry::Study, key).expect("disk layer");
         fs::write(&path, b"not a cache entry").expect("overwrite");
         assert!(cache.load_study(key).is_none());
         assert_eq!(cache.stats().corrupt_entries, 1);
@@ -1533,7 +1314,7 @@ mod tests {
         cache.max_entries = 3;
         let study = tiny_study();
         for key in 0..5u64 {
-            cache.persist("study", key, &encode_study(key, &study));
+            cache.store_study(key, &study, study.digest());
         }
         let remaining = fs::read_dir(&tmp.0)
             .expect("cache dir")
@@ -1633,7 +1414,7 @@ mod tests {
         assert!(derive.bytes_read > 0);
 
         // Corruption degrades to a miss and drops the entry.
-        let path = warm.entry_path("unit", key).expect("disk layer");
+        let path = warm.entry_path(Entry::Unit, key).expect("disk layer");
         fs::write(&path, b"junk").expect("overwrite");
         let corrupt = StudyCache::with_dir(&tmp.0);
         assert!(corrupt.unit_artifact(key).is_none());
@@ -1659,9 +1440,9 @@ mod tests {
             for (w, study) in [study_a.clone(), study_b.clone()].into_iter().enumerate() {
                 let cache = std::sync::Arc::clone(&cache);
                 s.spawn(move || {
-                    let bytes = encode_study(key, &study);
+                    let bytes = encode_study(key, &study, study.digest());
                     for _ in 0..100 {
-                        assert!(cache.write_entry("study", key, &bytes), "writer {w}");
+                        assert!(cache.write_entry(Entry::Study, key, &bytes), "writer {w}");
                     }
                 });
             }
@@ -1702,21 +1483,82 @@ mod tests {
         assert!(cache.study_by_digest(study.digest() ^ 1).is_none());
     }
 
+    /// Pins the exact bytes of every on-disk layout and the content keys,
+    /// so a codec or key change that would turn every warm cache and study
+    /// DB cold fails here first. The keys hash `CARGO_PKG_VERSION`: a
+    /// crate-version bump legitimately moves them; update the key literals
+    /// deliberately when that happens.
     #[test]
-    fn stage_entry_layer_can_be_disabled_independently() {
-        let tmp = TempDir::new();
-        let mut cache = StudyCache::with_dir(&tmp.0);
-        cache.stage_entries = false;
-        assert!(cache.is_enabled());
-        assert!(!cache.stage_entries_enabled());
-        let artifact = UnitArtifact::Failed("x".to_owned());
-        cache.store_unit_artifact(1, &artifact);
-        assert!(cache.unit_artifact(1).is_none(), "layer is inert when off");
-        assert_eq!(cache.stage(StageKind::Derive), StageStats::default());
+    fn on_disk_formats_and_keys_are_pinned() {
+        let study = tiny_study();
+        let key = 0x1234_5678_9abc_def0;
         assert_eq!(
-            fs::read_dir(&tmp.0).expect("cache dir").count(),
-            0,
-            "nothing written"
+            fnv64(&encode_study(key, &study, study.digest())),
+            0xcec3238f77afd4fd
         );
+        assert_eq!(fnv64(&encode_sweep(key, &tiny_sweep())), 0x55839490b501b0ca);
+        let profiled = UnitArtifact::Profiled(Arc::new(study.profiles[0].clone()));
+        assert_eq!(fnv64(&encode_unit(key, &profiled)), 0x8b65d92fb9b82ddb);
+        let failed = UnitArtifact::Failed("capture of 'Unit C' exhausted".to_owned());
+        assert_eq!(fnv64(&encode_unit(key, &failed)), 0x8f5b395d25857c2b);
+        let meta = crate::studydb::RecordMeta {
+            study_key: key,
+            digest: study.digest(),
+            elapsed_ns: 81_000_000,
+            recorded_unix: 1_700_000_000,
+            units: 2,
+            failed_units: 1,
+            exec: "local".to_owned(),
+            spec_wire: "seed = 2024\n".to_owned(),
+        };
+        let record = crate::studydb::StudyRecord::from_parts(
+            meta,
+            encode_study(key, &study, study.digest()),
+        );
+        assert_eq!(fnv64(&record.encode()), 0x6ecadfe824b046be);
+
+        let spec = StudySpec::paper_default();
+        assert_eq!(spec.study_key(), 0x65c213350d28ecf8);
+        let faulted = StudySpec::paper_default().with_faults(FaultConfig {
+            seed: 7,
+            dropout_rate: 0.05,
+            ..FaultConfig::default()
+        });
+        assert_eq!(faulted.study_key(), 0x599c2c9ae7d37a5d);
+        let (index, unit) = spec.selected().expect("full registry").remove(0);
+        assert_eq!(spec.unit_key(index, &unit), 0x3d4bf35b70845a34);
+    }
+
+    #[test]
+    fn failed_writes_count_as_store_failures() {
+        // A cache "directory" that is a regular file: every write fails.
+        let tmp = TempDir::new();
+        let file = tmp.0.join("not-a-dir");
+        fs::write(&file, b"").expect("plain file");
+        let cache = StudyCache::with_dir(&file);
+        cache.store_unit_artifact(1, &UnitArtifact::Failed("x".to_owned()));
+        let derive = cache.stage(StageKind::Derive);
+        assert_eq!(derive.store_failures, 1);
+        assert_eq!(derive.stores, 0);
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "unit traffic stays out of the legacy counters"
+        );
+
+        // A sweep write fails into both the legacy and the analyze ledger.
+        let m = Matrix::from_rows(&[
+            vec![0.0, 0.1],
+            vec![1.0, 0.9],
+            vec![0.2, 0.1],
+            vec![0.9, 1.0],
+        ])
+        .expect("matrix");
+        cache.sweep(&m, &[2]).expect("sweep computes");
+        assert_eq!(cache.stats().store_failures, 1);
+        assert_eq!(cache.stats().stores, 0);
+        let analyze = cache.stage(StageKind::Analyze);
+        assert_eq!(analyze.store_failures, 1);
+        assert_eq!(analyze.stores, 0);
     }
 }

@@ -175,7 +175,8 @@ mod tests {
     use mwc_soc::config::SocConfig;
 
     fn study() -> Characterization {
-        Characterization::run(SocConfig::snapdragon_888(), 7, 1)
+        let spec = crate::StudySpec::new(SocConfig::snapdragon_888(), 7, 1);
+        Characterization::try_run_spec(&spec).expect("fault-free study")
     }
 
     #[test]

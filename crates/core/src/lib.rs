@@ -28,13 +28,19 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use mwc_core::pipeline::Characterization;
+//! use mwc_core::{Characterization, StudyCache, StudySpec};
 //!
-//! // Run the full study (18 units × 3 runs) on the default platform.
-//! let study = Characterization::run_default();
+//! // The paper's study: 18 units × 3 runs on the Snapdragon 888, seed 2024.
+//! let spec = StudySpec::paper_default();
+//! // Compute it without any cache ...
+//! let study = Characterization::try_run_spec(&spec)?;
+//! // ... or through the persistent cache (warm runs skip simulation).
+//! let cached = StudyCache::global().study_spec(&spec)?;
+//! assert_eq!(study.digest(), cached.digest());
 //! for profile in study.profiles() {
 //!     println!("{}: IPC {:.2}", profile.name, profile.metrics.ipc);
 //! }
+//! # Ok::<(), mwc_core::PipelineError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -43,6 +49,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+mod codec;
 pub mod error;
 pub mod features;
 pub mod figures;

@@ -370,7 +370,8 @@ mod tests {
     // One shared quick study: observation checks read series shapes, which
     // a single run captures fine.
     fn study() -> Characterization {
-        Characterization::run(SocConfig::snapdragon_888(), 7, 1)
+        let spec = crate::StudySpec::new(SocConfig::snapdragon_888(), 7, 1);
+        Characterization::try_run_spec(&spec).expect("fault-free study")
     }
 
     #[test]

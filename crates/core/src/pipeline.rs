@@ -3,11 +3,11 @@
 //! quorum-merge surviving runs, and degrade gracefully instead of
 //! aborting.
 
-use mwc_profiler::capture::{Profiler, SeriesKey, SeriesMap, PAPER_RUNS};
+use mwc_profiler::capture::{Profiler, SeriesKey, SeriesMap};
 use mwc_profiler::derive::BenchmarkMetrics;
 use mwc_profiler::faults::{CaptureError, CaptureHealth, FaultConfig};
 use mwc_profiler::timeseries::TimeSeries;
-use mwc_soc::config::{ClusterKind, SocConfig};
+use mwc_soc::config::ClusterKind;
 use mwc_workloads::registry::{BenchmarkUnit, ClusterLabel, Suite};
 
 use crate::error::PipelineError;
@@ -118,67 +118,21 @@ pub struct Characterization {
 }
 
 impl Characterization {
-    /// Run the complete study on the paper's platform (Snapdragon 888,
-    /// Table II) with the paper's three-run protocol and the default seed.
-    pub fn run_default() -> Self {
-        Characterization::run(SocConfig::snapdragon_888(), 2024, PAPER_RUNS)
-    }
-
-    /// Run the study on an arbitrary platform with `runs` runs per unit,
-    /// fanning the units across `MWC_THREADS` worker threads (default:
-    /// the machine's available parallelism).
+    /// Run the study described by a [`StudySpec`] through the stage graph,
+    /// without any cache: every stage computes. (`StudyCache::study_spec`
+    /// is the cached way in.)
     ///
-    /// Whatever the worker count, the result is bit-identical to a serial
+    /// Whatever `spec.threads` is, the result is bit-identical to a serial
     /// run: every capture's noise stream is derived from
     /// `(seed, unit_index, run_index)` alone (see
     /// [`mwc_soc::engine::stream_seed`]), each worker owns a private
     /// engine, and profiles are collected in unit order.
     ///
-    /// # Panics
-    /// Panics if the configuration fails validation — configurations are
-    /// produced by [`SocConfig::builder`] which validates on `build`, so an
-    /// invalid one reaching this point is a programming error. Use
-    /// [`Characterization::try_run_with`] to handle the error instead.
-    pub fn run(config: SocConfig, seed: u64, runs: usize) -> Self {
-        Characterization::run_with_threads(config, seed, runs, mwc_parallel::configured_threads())
-    }
-
-    /// [`Characterization::run`] with an explicit worker count
-    /// (`threads <= 1` runs serially on the calling thread).
-    ///
-    /// # Panics
-    /// As [`Characterization::run`].
-    pub fn run_with_threads(config: SocConfig, seed: u64, runs: usize, threads: usize) -> Self {
-        Characterization::try_run_with(config, seed, runs, threads, &FaultConfig::default())
-            .expect("fault-free study on a validated configuration cannot fail")
-    }
-
-    /// Run the study under a fault model. Failed or truncated runs are
-    /// retried with fresh derived seeds (bounded by `faults.max_attempts`),
+    /// Under an active fault model, failed or truncated runs are retried
+    /// with fresh derived seeds (bounded by `faults.max_attempts`),
     /// surviving runs are quorum-merged (median with MAD outlier
     /// rejection), and units whose every attempt fails are excluded and
     /// listed in the [`DegradationReport`] rather than aborting the study.
-    ///
-    /// With [`FaultConfig::default`] (faults off) the result is
-    /// bit-identical to [`Characterization::run`] for any worker count.
-    pub fn try_run_with(
-        config: SocConfig,
-        seed: u64,
-        runs: usize,
-        threads: usize,
-        faults: &FaultConfig,
-    ) -> Result<Self, PipelineError> {
-        let spec = StudySpec::new(config, seed, runs)
-            .with_faults(faults.clone())
-            .with_threads(threads);
-        Characterization::try_run_spec(&spec)
-    }
-
-    /// Run the study described by a [`StudySpec`] through the stage graph,
-    /// without any cache: every stage computes. For a full-registry spec
-    /// this is bit-identical to [`Characterization::try_run_with`] — the
-    /// spec API additionally supports per-unit fault overrides and unit
-    /// selection.
     pub fn try_run_spec(spec: &StudySpec) -> Result<Self, PipelineError> {
         crate::stages::execute(spec, None)
     }
@@ -259,9 +213,26 @@ fn digest_profile_into(h: &mut Fnv1a, p: &UnitProfile) {
     h.write_str(&p.name);
     h.write_str(p.suite.name());
     h.write_str(p.label.name());
-    let m = &p.metrics;
-    h.write_str(&m.name);
-    for v in [
+    h.write_str(&p.metrics.name);
+    for v in metric_values(&p.metrics) {
+        h.write_f64(v);
+    }
+    for series in series_refs(&p.series) {
+        h.write_f64(series.tick_seconds);
+        h.write_usize(series.values.len());
+        for &v in &series.values {
+            h.write_f64(v);
+        }
+    }
+    for v in health_values(&p.health) {
+        h.write_usize(v);
+    }
+}
+
+/// The 19 scalar metrics, in the fixed order shared by the digest and the
+/// cache codec.
+pub(crate) fn metric_values(m: &BenchmarkMetrics) -> [f64; 19] {
+    [
         m.instruction_count,
         m.ipc,
         m.cache_mpki,
@@ -281,11 +252,12 @@ fn digest_profile_into(h: &mut Fnv1a, p: &UnitProfile) {
         m.memory_used_fraction,
         m.memory_peak_mib,
         m.storage_busy,
-    ] {
-        h.write_f64(v);
-    }
-    let s = &p.series;
-    for series in [
+    ]
+}
+
+/// The 12 series, in the fixed order shared by the digest and the codec.
+pub(crate) fn series_refs(s: &UnitSeries) -> [&TimeSeries; 12] {
+    [
         &s.cpu_load,
         &s.little_load,
         &s.mid_load,
@@ -298,26 +270,23 @@ fn digest_profile_into(h: &mut Fnv1a, p: &UnitProfile) {
         &s.memory_mib,
         &s.ipc,
         &s.storage_busy,
-    ] {
-        h.write_f64(series.tick_seconds);
-        h.write_usize(series.values.len());
-        for &v in &series.values {
-            h.write_f64(v);
-        }
-    }
-    for v in [
-        p.health.runs_requested,
-        p.health.runs_used,
-        p.health.attempts,
-        p.health.retries,
-        p.health.failed_runs,
-        p.health.truncated_runs,
-        p.health.dropped_samples,
-        p.health.overflow_wraps,
-        p.health.outliers_rejected,
-    ] {
-        h.write_usize(v);
-    }
+    ]
+}
+
+/// The 9 capture-health counters, in the fixed order shared by the digest
+/// and the codec.
+pub(crate) fn health_values(h: &CaptureHealth) -> [usize; 9] {
+    [
+        h.runs_requested,
+        h.runs_used,
+        h.attempts,
+        h.retries,
+        h.failed_runs,
+        h.truncated_runs,
+        h.dropped_samples,
+        h.overflow_wraps,
+        h.outliers_rejected,
+    ]
 }
 
 /// Minimal 64-bit FNV-1a accumulator backing [`Characterization::digest`]
@@ -445,11 +414,24 @@ pub(crate) fn derive_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwc_soc::config::SocConfig;
+
+    fn run(
+        seed: u64,
+        threads: usize,
+        faults: &FaultConfig,
+    ) -> Result<Characterization, PipelineError> {
+        let spec = StudySpec::new(SocConfig::snapdragon_888(), seed, 1)
+            .with_faults(faults.clone())
+            .with_threads(threads);
+        Characterization::try_run_spec(&spec)
+    }
 
     // The full 3-run study is exercised by integration tests and the bench
     // harness; unit tests here use a single run to stay fast.
     fn quick_study() -> Characterization {
-        Characterization::run(SocConfig::snapdragon_888(), 7, 1)
+        Characterization::try_run_spec(&StudySpec::new(SocConfig::snapdragon_888(), 7, 1))
+            .expect("fault-free study")
     }
 
     #[test]
@@ -490,15 +472,17 @@ mod tests {
 
     #[test]
     fn study_is_deterministic() {
-        let a = Characterization::run(SocConfig::snapdragon_888(), 9, 1);
-        let b = Characterization::run(SocConfig::snapdragon_888(), 9, 1);
+        let spec = StudySpec::new(SocConfig::snapdragon_888(), 9, 1);
+        let a = Characterization::try_run_spec(&spec).expect("fault-free study");
+        let b = Characterization::try_run_spec(&spec).expect("fault-free study");
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_study_is_bit_identical_to_serial() {
-        let serial = Characterization::run_with_threads(SocConfig::snapdragon_888(), 9, 1, 1);
-        let parallel = Characterization::run_with_threads(SocConfig::snapdragon_888(), 9, 1, 4);
+        let faults = FaultConfig::default();
+        let serial = run(9, 1, &faults).expect("fault-free study");
+        let parallel = run(9, 4, &faults).expect("fault-free study");
         assert_eq!(serial, parallel);
     }
 
@@ -510,11 +494,8 @@ mod tests {
             truncation_rate: 0.1,
             ..FaultConfig::default()
         };
-        let serial = Characterization::try_run_with(SocConfig::snapdragon_888(), 9, 1, 1, &faults)
-            .expect("faulty study still completes");
-        let parallel =
-            Characterization::try_run_with(SocConfig::snapdragon_888(), 9, 1, 4, &faults)
-                .expect("faulty study still completes");
+        let serial = run(9, 1, &faults).expect("faulty study still completes");
+        let parallel = run(9, 4, &faults).expect("faulty study still completes");
         // Metric aggregates are NaN-free after the robust merge, so direct
         // equality is meaningful.
         assert_eq!(serial.names(), parallel.names());
@@ -532,8 +513,7 @@ mod tests {
             max_attempts: 2,
             ..FaultConfig::default()
         };
-        let err = Characterization::try_run_with(SocConfig::snapdragon_888(), 9, 1, 2, &faults)
-            .expect_err("study must fail");
+        let err = run(9, 2, &faults).expect_err("study must fail");
         assert!(matches!(err, PipelineError::StudyEmpty { requested: 18 }));
     }
 
@@ -543,8 +523,7 @@ mod tests {
             dropout_rate: 2.0,
             ..FaultConfig::default()
         };
-        let err = Characterization::try_run_with(SocConfig::snapdragon_888(), 9, 1, 1, &faults)
-            .expect_err("study must fail");
+        let err = run(9, 1, &faults).expect_err("study must fail");
         assert!(matches!(err, PipelineError::Capture(_)));
     }
 }

@@ -14,10 +14,11 @@
 //!   runs, platform, registry identity, the unit's *effective* fault
 //!   config), so changing one unit's fault override invalidates exactly
 //!   one artifact.
-//! * [`StudySpec::study_key`] — the whole-study memo key. For a spec with
-//!   the full unit selection and no overrides it is byte-compatible with
-//!   the legacy [`crate::cache::study_key`], so entries written by earlier
-//!   versions of the cache stay valid.
+//! * [`StudySpec::study_key`] — the whole-study memo key, also the key
+//!   of the study's records in the study database.
+//!
+//! Both keys, like every on-disk layout, are pinned to literal values by
+//! `cache::tests::on_disk_formats_and_keys_are_pinned`.
 
 use mwc_profiler::faults::{FaultConfig, FAULT_UNITS_ENV};
 use mwc_soc::config::SocConfig;
@@ -205,11 +206,12 @@ impl StudySpec {
         h.finish()
     }
 
-    /// The whole-study memo key. Byte-compatible with the legacy
-    /// [`crate::cache::study_key`] whenever the selection is
-    /// [`UnitSelection::All`] and no selected unit's effective fault
-    /// config differs from the baseline; per-unit overrides append
-    /// `(name, digest)` pairs in registry order.
+    /// The whole-study memo key: the schema and crate versions, seed,
+    /// runs, platform and baseline fault digests, and the selected units'
+    /// identities. Selected units whose effective fault config differs
+    /// from the baseline append `(name, digest)` pairs in registry order,
+    /// so a spec without such overrides keys exactly as the cache always
+    /// has.
     pub fn study_key(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_str("mwc-study");
@@ -243,7 +245,6 @@ impl StudySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::study_key as legacy_study_key;
 
     fn base() -> StudySpec {
         StudySpec::new(SocConfig::snapdragon_888(), 2024, 3)
@@ -255,20 +256,6 @@ mod tests {
             dropout_rate: 0.05,
             ..FaultConfig::default()
         }
-    }
-
-    #[test]
-    fn default_spec_key_matches_legacy_study_key() {
-        let spec = base();
-        assert_eq!(
-            spec.study_key(),
-            legacy_study_key(&spec.config, spec.seed, spec.runs, &spec.faults)
-        );
-        let faulted = base().with_faults(active_faults());
-        assert_eq!(
-            faulted.study_key(),
-            legacy_study_key(&faulted.config, 2024, 3, &active_faults())
-        );
     }
 
     #[test]

@@ -71,6 +71,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::cache::{decode_study, encode_study};
+use crate::codec::{unseal, Dec, Enc, HEADER_LEN as HEADER, TRAILER_LEN as TRAILER};
 use crate::pipeline::{Characterization, Fnv1a};
 use crate::spec::StudySpec;
 
@@ -79,10 +80,6 @@ pub const STUDY_DB_ENV: &str = "MWC_STUDY_DB";
 
 const RECORD_MAGIC: &[u8; 4] = b"MWDB";
 const RECORD_VERSION: u32 = 1;
-/// Magic, version and payload length.
-const HEADER: usize = 4 + 4 + 8;
-/// Trailing payload checksum.
-const TRAILER: usize = 8;
 /// Upper bound on one record's payload; larger lengths are treated as
 /// corruption while scanning.
 const MAX_RECORD: u64 = 1 << 30;
@@ -113,17 +110,17 @@ pub struct RecordMeta {
 }
 
 impl RecordMeta {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.study_key.to_le_bytes());
-        out.extend_from_slice(&self.digest.to_le_bytes());
-        out.extend_from_slice(&self.elapsed_ns.to_le_bytes());
-        out.extend_from_slice(&self.recorded_unix.to_le_bytes());
-        out.extend_from_slice(&self.units.to_le_bytes());
-        out.extend_from_slice(&self.failed_units.to_le_bytes());
-        out.extend_from_slice(&(self.exec.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.exec.as_bytes());
-        out.extend_from_slice(&(self.spec_wire.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.spec_wire.as_bytes());
+    fn encode_into(&self, e: &mut Enc) {
+        e.u64(self.study_key);
+        e.u64(self.digest);
+        e.u64(self.elapsed_ns);
+        e.u64(self.recorded_unix);
+        e.u32(self.units);
+        e.u32(self.failed_units);
+        for s in [&self.exec, &self.spec_wire] {
+            e.u32(s.len() as u32);
+            e.raw(s.as_bytes());
+        }
     }
 
     /// Read the metadata and the following `study_len` from the front
@@ -169,11 +166,12 @@ impl StudyRecord {
         elapsed: Duration,
     ) -> Self {
         let study_key = spec.study_key();
+        let digest = study.digest();
         let report = study.report();
         StudyRecord {
             meta: RecordMeta {
                 study_key,
-                digest: study.digest(),
+                digest,
                 elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
                 recorded_unix: SystemTime::now()
                     .duration_since(UNIX_EPOCH)
@@ -184,29 +182,33 @@ impl StudyRecord {
                 exec: exec.into(),
                 spec_wire: crate::wire::to_wire(spec).unwrap_or_default(),
             },
-            payload: encode_study(study_key, study),
+            payload: encode_study(study_key, study, digest),
         }
     }
 
     /// Decode the stored study, verifying the cache codec's stored
     /// digest. `None` means the record's study bytes are corrupt.
     pub fn study(&self) -> Option<Characterization> {
-        decode_study(self.study_key, &self.payload)
+        decode_study(self.study_key, &self.payload).map(|(study, _)| study)
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + self.payload.len());
-        self.meta.encode_into(&mut payload);
-        payload.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&self.payload);
+    /// A record from its parts, for tests that need fixed metadata.
+    #[cfg(test)]
+    pub(crate) fn from_parts(meta: RecordMeta, payload: Vec<u8>) -> Self {
+        StudyRecord { meta, payload }
+    }
 
-        let mut out = Vec::with_capacity(HEADER + payload.len() + TRAILER);
-        out.extend_from_slice(RECORD_MAGIC);
-        out.extend_from_slice(&RECORD_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        out
+    /// The framed on-disk bytes of this record.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut payload = Enc(Vec::with_capacity(64 + self.payload.len()));
+        self.meta.encode_into(&mut payload);
+        payload.u64(self.payload.len() as u64);
+        payload.raw(&self.payload);
+
+        let mut out = Enc::header(RECORD_MAGIC, RECORD_VERSION, payload.0.len() as u64);
+        out.0.reserve(payload.0.len() + TRAILER);
+        out.raw(&payload.0);
+        out.seal(HEADER)
     }
 }
 
@@ -483,12 +485,6 @@ pub(crate) fn record_completed(spec: &StudySpec, study: &Characterization, elaps
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_bytes(bytes);
-    h.finish()
-}
-
 fn read_u32(r: &mut impl Read) -> Option<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b).ok()?;
@@ -514,15 +510,10 @@ fn read_string(r: &mut impl Read) -> Option<String> {
 
 /// The payload length a record header declares, if the header is one
 /// this version reads.
-fn header_len(header: &[u8; HEADER]) -> Option<u64> {
-    if &header[..4] != RECORD_MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(header[4..8].try_into().ok()?) != RECORD_VERSION {
-        return None;
-    }
-    let len = u64::from_le_bytes(header[8..16].try_into().ok()?);
-    (len <= MAX_RECORD).then_some(len)
+fn header_len(header: &[u8]) -> Option<u64> {
+    Dec::new(header)
+        .header(RECORD_MAGIC, RECORD_VERSION)
+        .filter(|&len| len <= MAX_RECORD)
 }
 
 /// Offset of the next record magic in `[from, end)`.
@@ -634,17 +625,15 @@ fn read_slot(path: &Path, slot: Slot) -> Option<StudyRecord> {
     file.seek(SeekFrom::Start(slot.offset)).ok()?;
     let mut bytes = vec![0u8; usize::try_from(slot.total).ok()?];
     file.read_exact(&mut bytes).ok()?;
-    let header: &[u8; HEADER] = bytes[..HEADER].try_into().ok()?;
-    let len = header_len(header)?;
+    let len = header_len(bytes.get(..HEADER)?)?;
     if (HEADER + TRAILER) as u64 + len != slot.total {
         return None;
     }
-    let body_end = HEADER + len as usize;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().ok()?);
-    if stored != slot.sum || fnv64(&bytes[HEADER..body_end]) != stored {
+    let (mut cursor, stored) = unseal(&bytes[HEADER..])?;
+    if stored != slot.sum {
         return None;
     }
-    let mut cursor = &bytes[HEADER..body_end];
+    let body_end = HEADER + cursor.len();
     let (meta, study_len) = RecordMeta::read_from(&mut cursor)?;
     if cursor.len() as u64 != study_len {
         return None;

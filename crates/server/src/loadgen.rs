@@ -39,9 +39,6 @@ pub struct LoadOptions {
     pub headers: Vec<(String, String)>,
     /// Request body.
     pub body: Vec<u8>,
-    /// When non-empty, request `i` sends `body_variants[i % len]` instead
-    /// of `body` — lets the overload phase offer distinct (cold) specs.
-    pub body_variants: Vec<Vec<u8>>,
     /// Concurrent connections (worker threads).
     pub connections: usize,
     /// Total requests to issue (retries not counted).
@@ -67,7 +64,6 @@ impl Default for LoadOptions {
             path: "/healthz".to_owned(),
             headers: Vec::new(),
             body: Vec::new(),
-            body_variants: Vec::new(),
             connections: 4,
             requests: 64,
             rate: 0.0,
@@ -197,11 +193,6 @@ fn drive_one(opts: &LoadOptions, index: usize, totals: &Totals, rng: &mut StdRng
     {
         headers.push(("x-mwc-request-id", id.as_str()));
     }
-    let body: &[u8] = if opts.body_variants.is_empty() {
-        &opts.body
-    } else {
-        &opts.body_variants[index % opts.body_variants.len()]
-    };
     let mut attempt = 0u32;
     loop {
         let outcome = client::request(
@@ -209,7 +200,7 @@ fn drive_one(opts: &LoadOptions, index: usize, totals: &Totals, rng: &mut StdRng
             &opts.method,
             &opts.path,
             &headers,
-            body,
+            &opts.body,
             opts.timeout,
         );
         let (retryable, retry_after) = match &outcome {

@@ -36,6 +36,7 @@ pub mod prelude {
     pub use mwc_analysis::cluster::{hierarchical, kmeans, pam, Clustering, Linkage};
     pub use mwc_core::observations::check_all;
     pub use mwc_core::pipeline::{Characterization, UnitProfile};
+    pub use mwc_core::spec::StudySpec;
     pub use mwc_profiler::capture::{Profiler, SeriesKey};
     pub use mwc_profiler::derive::BenchmarkMetrics;
     pub use mwc_soc::config::SocConfig;

@@ -15,6 +15,7 @@ use std::time::Instant;
 use mwc_analysis::matrix::Matrix;
 use mwc_core::cache::StudyCache;
 use mwc_core::pipeline::Characterization;
+use mwc_core::StudySpec;
 use mwc_soc::config::SocConfig;
 
 /// A unique throwaway directory per test (removed on drop).
@@ -47,12 +48,11 @@ const RUNS: usize = 1;
 #[test]
 fn warm_run_is_bit_identical_and_at_least_twice_as_fast() {
     let tmp = TempDir::new();
-    let cfg = SocConfig::snapdragon_888();
 
     // Cold pass: nothing on disk, so this simulates and stores.
     let cold_cache = StudyCache::with_dir(&tmp.0);
     let cold_start = Instant::now();
-    let cold = cold_cache.study(&cfg, SEED, RUNS).expect("cold study");
+    let cold = cold_cache.study_spec(&spec()).expect("cold study");
     let cold_time = cold_start.elapsed();
     let stats = cold_cache.stats();
     assert_eq!(stats.misses, 1, "cold pass is a miss");
@@ -60,7 +60,7 @@ fn warm_run_is_bit_identical_and_at_least_twice_as_fast() {
     assert_eq!(stats.disk_hits, 0);
 
     // Same instance again: served from memory, same object.
-    let again = cold_cache.study(&cfg, SEED, RUNS).expect("memory hit");
+    let again = cold_cache.study_spec(&spec()).expect("memory hit");
     assert_eq!(again.digest(), cold.digest());
     assert_eq!(cold_cache.stats().mem_hits, 1);
 
@@ -68,7 +68,7 @@ fn warm_run_is_bit_identical_and_at_least_twice_as_fast() {
     // study deserializes from disk, skipping simulation entirely.
     let warm_cache = StudyCache::with_dir(&tmp.0);
     let warm_start = Instant::now();
-    let warm = warm_cache.study(&cfg, SEED, RUNS).expect("warm study");
+    let warm = warm_cache.study_spec(&spec()).expect("warm study");
     let warm_time = warm_start.elapsed();
     let warm_stats = warm_cache.stats();
     assert_eq!(warm_stats.disk_hits, 1, "warm pass hits the disk layer");
@@ -87,9 +87,8 @@ fn warm_run_is_bit_identical_and_at_least_twice_as_fast() {
 #[test]
 fn corrupt_entries_degrade_to_recompute_with_identical_results() {
     let tmp = TempDir::new();
-    let cfg = SocConfig::snapdragon_888();
     let first = StudyCache::with_dir(&tmp.0)
-        .study(&cfg, SEED, RUNS)
+        .study_spec(&spec())
         .expect("seeding study");
 
     // Garble every on-disk entry (models torn writes / bit rot).
@@ -111,7 +110,7 @@ fn corrupt_entries_degrade_to_recompute_with_identical_results() {
     // the original bit for bit, and re-stores a clean entry.
     let recovering = StudyCache::with_dir(&tmp.0);
     let recomputed = recovering
-        .study(&cfg, SEED, RUNS)
+        .study_spec(&spec())
         .expect("corruption must degrade gracefully");
     let stats = recovering.stats();
     assert_eq!(stats.corrupt_entries, 1, "the bad entry was detected");
@@ -121,7 +120,7 @@ fn corrupt_entries_degrade_to_recompute_with_identical_results() {
 
     // Proof of the re-store: a third instance is served from disk again.
     let healed = StudyCache::with_dir(&tmp.0);
-    let from_disk = healed.study(&cfg, SEED, RUNS).expect("healed entry");
+    let from_disk = healed.study_spec(&spec()).expect("healed entry");
     assert_eq!(healed.stats().disk_hits, 1);
     assert_eq!(from_disk.digest(), first.digest());
 }
@@ -129,9 +128,8 @@ fn corrupt_entries_degrade_to_recompute_with_identical_results() {
 #[test]
 fn truncated_entry_is_a_miss() {
     let tmp = TempDir::new();
-    let cfg = SocConfig::snapdragon_888();
     StudyCache::with_dir(&tmp.0)
-        .study(&cfg, SEED, RUNS)
+        .study_spec(&spec())
         .expect("seeding study");
 
     for e in fs::read_dir(&tmp.0)
@@ -146,9 +144,7 @@ fn truncated_entry_is_a_miss() {
     }
 
     let cache = StudyCache::with_dir(&tmp.0);
-    cache
-        .study(&cfg, SEED, RUNS)
-        .expect("partial entry degrades");
+    cache.study_spec(&spec()).expect("partial entry degrades");
     assert_eq!(cache.stats().corrupt_entries, 1);
     assert_eq!(cache.stats().disk_hits, 0);
 }
@@ -157,13 +153,11 @@ fn truncated_entry_is_a_miss() {
 fn disabled_cache_computes_identical_results_without_touching_disk() {
     let tmp = TempDir::new();
     let reference = StudyCache::with_dir(&tmp.0)
-        .study(&cfg_default(), SEED, RUNS)
+        .study_spec(&spec())
         .expect("cached study");
 
     let off = StudyCache::disabled();
-    let direct = off
-        .study(&cfg_default(), SEED, RUNS)
-        .expect("uncached study");
+    let direct = off.study_spec(&spec()).expect("uncached study");
     assert_eq!(
         off.stats(),
         Default::default(),
@@ -176,21 +170,15 @@ fn disabled_cache_computes_identical_results_without_touching_disk() {
     );
     assert_eq!(
         direct.digest(),
-        Characterization::try_run_with(
-            cfg_default(),
-            SEED,
-            RUNS,
-            1,
-            &mwc_profiler::FaultConfig::default()
-        )
-        .expect("direct pipeline run")
-        .digest(),
+        Characterization::try_run_spec(&spec().with_threads(1))
+            .expect("direct pipeline run")
+            .digest(),
         "cache path matches the raw pipeline"
     );
 }
 
-fn cfg_default() -> SocConfig {
-    SocConfig::snapdragon_888()
+fn spec() -> StudySpec {
+    StudySpec::new(SocConfig::snapdragon_888(), SEED, RUNS)
 }
 
 #[test]

@@ -49,7 +49,10 @@ fn columnar_series_map_matches_per_key_extraction() {
 #[test]
 fn study_digest_matches_the_row_oriented_baseline() {
     use mwc_core::pipeline::Characterization;
-    let study = Characterization::run(SocConfig::snapdragon_888(), 2024, 1);
+    use mwc_core::StudySpec;
+    let study =
+        Characterization::try_run_spec(&StudySpec::new(SocConfig::snapdragon_888(), 2024, 1))
+            .expect("fault-free study");
     assert_eq!(
         format!("{:016x}", study.digest()),
         EXPECTED_DIGEST,

@@ -51,10 +51,14 @@ fn profiler_reset_between_runs_removes_history() {
     assert_eq!(after_heavy, fresh_run);
 }
 
+fn run(spec: StudySpec) -> Characterization {
+    Characterization::try_run_spec(&spec).expect("fault-free study")
+}
+
 #[test]
 fn full_study_is_reproducible() {
-    let a = Characterization::run(SocConfig::snapdragon_888(), 77, 1);
-    let b = Characterization::run(SocConfig::snapdragon_888(), 77, 1);
+    let a = run(StudySpec::new(SocConfig::snapdragon_888(), 77, 1));
+    let b = run(StudySpec::new(SocConfig::snapdragon_888(), 77, 1));
     assert_eq!(a, b);
 }
 
@@ -63,9 +67,10 @@ fn worker_count_does_not_change_the_study() {
     // The parallel pipeline must be bit-identical to a serial run whatever
     // MWC_THREADS resolves to: one worker, several workers, and the
     // env-driven default all produce the same `Characterization`.
-    let serial = Characterization::run_with_threads(SocConfig::snapdragon_888(), 77, 1, 1);
-    let four = Characterization::run_with_threads(SocConfig::snapdragon_888(), 77, 1, 4);
-    let auto = Characterization::run(SocConfig::snapdragon_888(), 77, 1);
+    let spec = StudySpec::new(SocConfig::snapdragon_888(), 77, 1);
+    let serial = run(spec.clone().with_threads(1));
+    let four = run(spec.clone().with_threads(4));
+    let auto = run(spec);
     assert_eq!(serial, four, "4 workers == serial");
     assert_eq!(serial, auto, "default worker count == serial");
 }

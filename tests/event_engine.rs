@@ -181,9 +181,11 @@ fn event_core_determinism_same_seed_same_trace() {
 #[test]
 fn study_digest_identical_across_cores() {
     std::env::set_var("MWC_SOC_ENGINE", "dense");
-    let dense = Characterization::run(SocConfig::snapdragon_888(), STUDY_SEED, 1).digest();
+    let spec = StudySpec::new(SocConfig::snapdragon_888(), STUDY_SEED, 1);
+    let run = || Characterization::try_run_spec(&spec).expect("fault-free study");
+    let dense = run().digest();
     std::env::remove_var("MWC_SOC_ENGINE");
-    let event = Characterization::run(SocConfig::snapdragon_888(), STUDY_SEED, 1).digest();
+    let event = run().digest();
     assert_eq!(
         format!("{dense:016x}"),
         format!("{event:016x}"),

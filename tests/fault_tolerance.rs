@@ -12,23 +12,34 @@ const THREADS: usize = 3;
 /// The paper protocol's seed.
 const SEED: u64 = 2024;
 
+/// The study `(seed, runs)` on `threads` workers under `faults`.
+fn try_run(
+    seed: u64,
+    runs: usize,
+    threads: usize,
+    faults: &FaultConfig,
+) -> Result<Characterization, PipelineError> {
+    let spec = StudySpec::new(SocConfig::snapdragon_888(), seed, runs)
+        .with_faults(faults.clone())
+        .with_threads(threads);
+    Characterization::try_run_spec(&spec)
+}
+
+/// The fault-free study `(seed, runs)` on `threads` workers.
+fn run_clean(seed: u64, runs: usize, threads: usize) -> Characterization {
+    try_run(seed, runs, threads, &FaultConfig::default()).expect("fault-free study")
+}
+
 fn run_faulty(seed: u64, runs: usize, faults: &FaultConfig) -> Characterization {
-    Characterization::try_run_with(SocConfig::snapdragon_888(), seed, runs, THREADS, faults)
-        .expect("study completes under this plan")
+    try_run(seed, runs, THREADS, faults).expect("study completes under this plan")
 }
 
 #[test]
 fn fault_off_pipeline_is_bit_identical_to_run() {
-    let baseline = Characterization::run_with_threads(SocConfig::snapdragon_888(), 77, 1, 1);
+    let baseline = run_clean(77, 1, 1);
     for threads in [1, 4] {
-        let via_faults = Characterization::try_run_with(
-            SocConfig::snapdragon_888(),
-            77,
-            1,
-            threads,
-            &FaultConfig::default(),
-        )
-        .expect("fault-free study succeeds");
+        let via_faults =
+            try_run(77, 1, threads, &FaultConfig::default()).expect("fault-free study succeeds");
         assert_eq!(baseline, via_faults, "threads = {threads}");
     }
     assert!(!baseline.report().is_degraded());
@@ -45,8 +56,7 @@ fn moderate_faults_complete_the_study_within_tolerance() {
         truncation_rate: 0.055,
         ..FaultConfig::default()
     };
-    let reference =
-        Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, 3, THREADS);
+    let reference = run_clean(SEED, 3, THREADS);
     let faulty = run_faulty(SEED, 3, &faults);
 
     assert_eq!(
@@ -91,8 +101,7 @@ fn all_runs_failing_is_a_typed_error() {
         run_failure_rate: 1.0,
         ..FaultConfig::default()
     };
-    let err = Characterization::try_run_with(SocConfig::snapdragon_888(), 77, 1, THREADS, &faults)
-        .expect_err("nothing can be captured");
+    let err = try_run(77, 1, THREADS, &faults).expect_err("nothing can be captured");
     match err {
         PipelineError::StudyEmpty { requested } => assert_eq!(requested, 18),
         other => panic!("expected StudyEmpty, got {other}"),
@@ -153,11 +162,10 @@ fn quorum_merge_rejects_counter_glitches() {
 fn env_fault_plan_yields_a_usable_study() {
     let faults = FaultConfig::from_env().expect("env fault plan parses");
     let study =
-        Characterization::try_run_with(SocConfig::snapdragon_888(), 77, 1, THREADS, &faults)
-            .expect("study completes under the environment's plan");
+        try_run(77, 1, THREADS, &faults).expect("study completes under the environment's plan");
     assert!(study.report().units_profiled() > 0);
     if !faults.enabled() {
-        let plain = Characterization::run_with_threads(SocConfig::snapdragon_888(), 77, 1, 1);
+        let plain = run_clean(77, 1, 1);
         assert_eq!(study, plain, "fault-off path is the historical pipeline");
     }
 }

@@ -2,15 +2,19 @@
 //! perturbs the study), Chrome-trace well-formedness via the exporter's
 //! own reader, cross-thread span parenting under a multi-worker capture
 //! fan-out, and the metrics the pipeline is contracted to emit.
+//!
+//! Each traced study records into its own `mwc_obs::Collector`, so the
+//! tests run in parallel without seeing each other's spans or metrics;
+//! only `disabled_collection_records_nothing` looks at the global path.
 
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use mwc_core::pipeline::Characterization;
+use mwc_core::StudySpec;
 use mwc_obs::export::{chrome_trace_json, parse_chrome_trace};
 use mwc_obs::metrics::Metric;
 use mwc_obs::trace::TraceData;
-use mwc_obs::Value;
+use mwc_obs::{Collector, Value};
 use mwc_soc::config::SocConfig;
 
 /// Study protocol used by every test here: small (2 runs) but full-width
@@ -18,37 +22,26 @@ use mwc_soc::config::SocConfig;
 const SEED: u64 = 77;
 const RUNS: usize = 2;
 
-/// Collection state is process-global, so tests that flip it must not
-/// interleave.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// The study `(SEED, runs)` on `threads` workers.
+fn run(runs: usize, threads: usize) -> Characterization {
+    let spec = StudySpec::new(SocConfig::snapdragon_888(), SEED, runs).with_threads(threads);
+    Characterization::try_run_spec(&spec).expect("fault-free study")
 }
 
-/// Run the study with collection on (equivalent to setting `MWC_TRACE` /
-/// `MWC_PROFILE`, without racing on process environment) and hand back the
-/// study plus everything that was collected.
+/// Run the study inside a fresh collection scope and hand back the study
+/// plus everything the scope collected.
 fn traced_study(threads: usize) -> (Characterization, TraceData, Vec<(String, Metric)>) {
-    mwc_obs::reset();
-    mwc_obs::set_enabled(true);
-    let study =
-        Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, RUNS, threads);
-    let data = mwc_obs::trace::drain();
-    let metrics = mwc_obs::metrics::snapshot();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
-    (study, data, metrics)
+    let collector = Collector::new();
+    let study = {
+        let _scope = collector.install();
+        run(RUNS, threads)
+    };
+    (study, collector.drain(), collector.metrics())
 }
 
 #[test]
 fn tracing_is_neutral_study_is_bit_identical() {
-    let _g = lock();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
-    let baseline =
-        Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, RUNS, 3).digest();
+    let baseline = run(RUNS, 3).digest();
 
     let (traced, data, _) = traced_study(3);
     assert_eq!(
@@ -61,10 +54,9 @@ fn tracing_is_neutral_study_is_bit_identical() {
 
 #[test]
 fn disabled_collection_records_nothing() {
-    let _g = lock();
     mwc_obs::set_enabled(false);
     mwc_obs::reset();
-    let _study = Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, 1, 2);
+    let _study = run(1, 2);
     let data = mwc_obs::trace::drain();
     assert!(data.is_empty(), "disabled collection must record no spans");
     assert!(
@@ -75,7 +67,6 @@ fn disabled_collection_records_nothing() {
 
 #[test]
 fn chrome_trace_parses_and_spans_nest_to_the_study_root() {
-    let _g = lock();
     let (_study, data, _) = traced_study(4);
     let json = chrome_trace_json(&data);
     let events = parse_chrome_trace(&json).expect("exporter output parses with its own reader");
@@ -121,7 +112,6 @@ fn chrome_trace_parses_and_spans_nest_to_the_study_root() {
 
 #[test]
 fn worker_spans_parent_across_threads() {
-    let _g = lock();
     let workers = 4;
     let (_study, data, _) = traced_study(workers);
 
@@ -156,7 +146,6 @@ fn worker_spans_parent_across_threads() {
 
 #[test]
 fn pipeline_emits_its_contracted_metrics() {
-    let _g = lock();
     let (study, _, metrics) = traced_study(2);
     let get = |name: &str| {
         metrics

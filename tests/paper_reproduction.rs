@@ -14,7 +14,10 @@ use mwc_workloads::registry::ClusterLabel;
 /// averaging only tightens the same numbers).
 fn study() -> &'static Characterization {
     static STUDY: OnceLock<Characterization> = OnceLock::new();
-    STUDY.get_or_init(|| Characterization::run(SocConfig::snapdragon_888(), 2024, 1))
+    STUDY.get_or_init(|| {
+        Characterization::try_run_spec(&StudySpec::new(SocConfig::snapdragon_888(), 2024, 1))
+            .expect("fault-free study")
+    })
 }
 
 fn ground_truth() -> Clustering {

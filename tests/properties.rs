@@ -527,22 +527,12 @@ proptest! {
     #[test]
     fn fault_off_study_is_thread_count_invariant(threads in 1usize..6, seed in 0u64..500) {
         use mwc_core::pipeline::Characterization;
-        let serial = Characterization::try_run_with(
-            SocConfig::snapdragon_888(),
-            seed,
-            1,
-            1,
-            &mwc_profiler::FaultConfig::default(),
-        )
-        .expect("fault-free study succeeds");
-        let threaded = Characterization::try_run_with(
-            SocConfig::snapdragon_888(),
-            seed,
-            1,
-            threads,
-            &mwc_profiler::FaultConfig::default(),
-        )
-        .expect("fault-free study succeeds");
+        use mwc_core::StudySpec;
+        let spec = StudySpec::new(SocConfig::snapdragon_888(), seed, 1);
+        let serial = Characterization::try_run_spec(&spec.clone().with_threads(1))
+            .expect("fault-free study succeeds");
+        let threaded = Characterization::try_run_spec(&spec.with_threads(threads))
+            .expect("fault-free study succeeds");
         prop_assert!(serial == threaded, "bit-identical for {threads} workers, seed {seed}");
     }
 }
@@ -557,8 +547,14 @@ proptest! {
         seed in 0u64..10_000,
         runs in 1usize..8,
     ) {
-        use mwc_core::cache::study_key;
+        use mwc_core::StudySpec;
         use mwc_profiler::FaultConfig;
+
+        let study_key = |cfg: &SocConfig, seed, runs, faults: &FaultConfig| {
+            StudySpec::new(cfg.clone(), seed, runs)
+                .with_faults(faults.clone())
+                .study_key()
+        };
 
         let cfg = SocConfig::snapdragon_888();
         let faults = FaultConfig::default();
