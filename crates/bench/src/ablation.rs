@@ -12,6 +12,7 @@
 //!    benchmarks' low IPC to texture pressure in the shared caches; an
 //!    oversized SLC makes the effect vanish.
 use mwc_core::observations::check_all;
+use mwc_core::{StudyCache, StudySpec};
 use mwc_profiler::capture::{Profiler, SeriesKey};
 use mwc_soc::cache::CacheConfig;
 use mwc_soc::config::SocConfig;
@@ -20,12 +21,10 @@ use mwc_soc::freq::GovernorPolicy;
 use mwc_soc::sched::PlacementPolicy;
 use mwc_workloads::suites::{gfxbench, threedmark};
 
-fn main() {
-    mwc_bench::run_or_exit(run);
-}
+use crate::Failure;
 
-fn run() -> Result<(), mwc_core::PipelineError> {
-    mwc_bench::header("Ablation 1: scheduler placement policy vs Observations #7-#9");
+pub fn run() -> Result<(), Failure> {
+    crate::header("Ablation 1: scheduler placement policy vs Observations #7-#9");
     // A fast probe: run the study with one run per unit under each policy
     // is expensive; instead run three representative units and check the
     // cluster placement signature directly.
@@ -61,7 +60,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
         );
     }
 
-    mwc_bench::header("Ablation 2: DVFS governor vs the Load metric");
+    crate::header("Ablation 2: DVFS governor vs the Load metric");
     for policy in [
         GovernorPolicy::Schedutil,
         GovernorPolicy::Conservative,
@@ -85,7 +84,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     }
     println!("  (same demanded work; the load metric and throughput move with the governor)");
 
-    mwc_bench::header("Ablation 3: shared-cache contention vs graphics IPC");
+    crate::header("Ablation 3: shared-cache contention vs graphics IPC");
     let baseline = SocConfig::snapdragon_888();
     let uncontended = SocConfig::builder("snapdragon-888-64mb-slc")
         .slc(CacheConfig::new("SLC", 64 * 1024))
@@ -107,8 +106,10 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     }
     println!("  (the low graphics IPC the paper reports is a contention effect, not intrinsic)");
 
-    mwc_bench::header("Ablation 4: full observation suite under the default stack");
-    let study = mwc_bench::study_with(mwc_bench::DEFAULT_SEED, 1);
+    crate::header("Ablation 4: full observation suite under the default stack");
+    let mut spec = StudySpec::paper_default();
+    spec.runs = 1;
+    let study = &*StudyCache::global().study_spec(&spec)?;
     let holds = check_all(study).iter().filter(|o| o.holds).count();
     println!("  observations holding under EAS + schedutil: {holds}/9");
     Ok(())

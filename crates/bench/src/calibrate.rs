@@ -1,16 +1,27 @@
 //! Calibration probe: prints per-unit metrics, clustering agreement and
 //! validation sweep so model parameters can be tuned against the paper.
-use mwc_analysis::cluster::Clustering;
 use mwc_core::features::{clustering_matrix, CLUSTERING_FEATURES};
 use mwc_core::figures;
 use mwc_core::observations;
+use mwc_core::{StudyCache, StudySpec};
 
-fn main() {
-    mwc_bench::run_or_exit(run);
+use crate::{Characterization, Clustering, Failure};
+
+/// Print each group of `c` as `{indent}c{i}: [unit names]`.
+fn print_groups(study: &Characterization, c: &Clustering, indent: &str) {
+    for (i, grp) in c.members().iter().enumerate() {
+        let names: Vec<&str> = grp
+            .iter()
+            .map(|&j| study.profiles()[j].name.as_str())
+            .collect();
+        println!("{indent}c{i}: {names:?}");
+    }
 }
 
-fn run() -> Result<(), mwc_core::PipelineError> {
-    let study = mwc_bench::study_with(mwc_bench::DEFAULT_SEED, 1);
+pub fn run() -> Result<(), Failure> {
+    let mut spec = StudySpec::paper_default();
+    spec.runs = 1;
+    let study = &*StudyCache::global().study_spec(&spec)?;
     println!("{:<26} {:>10} {:>6} {:>7} {:>7} {:>7} | {:>5} {:>5} {:>5} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>6}",
         "unit","IC(bn)","IPC","cMPKI","bMPKI","run(s)","lit","mid","big","gpu","shad","bus","aie","mem","store");
     for p in study.profiles() {
@@ -20,36 +31,27 @@ fn run() -> Result<(), mwc_core::PipelineError> {
             m.cpu_little_load, m.cpu_mid_load, m.cpu_big_load, m.gpu_load, m.gpu_shaders_busy, m.gpu_bus_busy, m.aie_load, m.memory_used_fraction, m.storage_busy);
     }
     println!("\nfeatures: {CLUSTERING_FEATURES:?}");
-    {
-        let m = clustering_matrix(study)?;
-        println!("normalized feature rows:");
-        for (i, p) in study.profiles().iter().enumerate() {
-            let row: Vec<String> = m.row(i).iter().map(|v| format!("{v:.2}")).collect();
-            println!("  {:<26} {}", p.name, row.join(" "));
-        }
+    let m = clustering_matrix(study)?;
+    println!("normalized feature rows:");
+    for (i, p) in study.profiles().iter().enumerate() {
+        let row: Vec<String> = m.row(i).iter().map(|v| format!("{v:.2}")).collect();
+        println!("  {:<26} {}", p.name, row.join(" "));
     }
     let truth = Clustering::new(
         study.profiles().iter().map(|p| p.label as usize).collect(),
         5,
     )?;
-    let m = clustering_matrix(study)?;
+    let dendro = figures::fig5(study)?;
     for (name, c) in [
         ("kmeans", mwc_analysis::cluster::kmeans(&m, 5, 42)?),
         ("pam", mwc_analysis::cluster::pam(&m, 5, 42)?),
-        ("hier", figures::fig5(study)?.cut(5)?),
+        ("hier", dendro.cut(5)?),
     ] {
         println!(
             "{name}: matches ground truth = {}",
             c.same_partition(&truth)
         );
-        let members = c.members();
-        for (i, grp) in members.iter().enumerate() {
-            let names: Vec<&str> = grp
-                .iter()
-                .map(|&j| study.profiles()[j].name.as_str())
-                .collect();
-            println!("  c{i}: {names:?}");
-        }
+        print_groups(study, &c, "  ");
     }
     println!("\nvalidation sweep:");
     let sweep = figures::fig4(study)?;
@@ -70,17 +72,9 @@ fn run() -> Result<(), mwc_core::PipelineError> {
         }
     }
     println!("\nhier partitions at k=6..8:");
-    let dendro = figures::fig5(study)?;
     for k in [6usize, 7, 8] {
-        let c = dendro.cut(k)?;
         println!(" k={k}:");
-        for (i, grp) in c.members().iter().enumerate() {
-            let names: Vec<&str> = grp
-                .iter()
-                .map(|&j| study.profiles()[j].name.as_str())
-                .collect();
-            println!("   c{i}: {names:?}");
-        }
+        print_groups(study, &dendro.cut(k)?, "   ");
     }
     // Per-cluster diameters at the ground-truth partition.
     println!("\nground-truth cluster diameters:");

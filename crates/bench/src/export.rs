@@ -4,7 +4,7 @@
 //! Spearman) and the full time series of every unit.
 //!
 //! ```sh
-//! cargo run --release -p mwc-bench --bin export [output-dir]
+//! mwc export [output-dir]
 //! ```
 use std::fs;
 use std::path::PathBuf;
@@ -12,6 +12,9 @@ use std::path::PathBuf;
 use mwc_analysis::stats::spearman_matrix;
 use mwc_core::features::{clustering_matrix, fig1_matrix, CLUSTERING_FEATURES, FIG1_METRICS};
 use mwc_core::tables::table3_matrix;
+use mwc_core::{StudyCache, StudySpec};
+
+use crate::Failure;
 
 fn matrix_csv(row_names: &[&str], col_names: &[&str], m: &mwc_analysis::matrix::Matrix) -> String {
     let mut out = String::from("name");
@@ -30,17 +33,15 @@ fn matrix_csv(row_names: &[&str], col_names: &[&str], m: &mwc_analysis::matrix::
     out
 }
 
-fn main() {
-    mwc_bench::run_or_exit(run);
-}
-
-fn run() -> Result<(), mwc_core::PipelineError> {
-    let dir = std::env::args()
-        .nth(1)
-        .map_or_else(|| PathBuf::from("study-export"), PathBuf::from);
+pub fn run(args: &[String]) -> Result<(), Failure> {
+    let dir = match args {
+        [] => PathBuf::from("study-export"),
+        [dir] => PathBuf::from(dir),
+        [_, extra, ..] => return Err(Failure::Usage(format!("unexpected argument {extra:?}"))),
+    };
     fs::create_dir_all(&dir)?;
 
-    let study = mwc_bench::study();
+    let study = &*StudyCache::global().study_spec(&StudySpec::paper_default())?;
     let names = study.names();
 
     // 1. Per-benchmark aggregate metrics (the Figure-1 table).

@@ -5,18 +5,20 @@
 //! ```sh
 //! # One faulty study, plan taken from the environment:
 //! MWC_FAULT_SEED=7 MWC_FAULT_DROPOUT=0.05 MWC_FAULT_TRUNCATION=0.055 \
-//!     cargo run --release -p mwc-bench --bin faults
+//!     mwc faults
 //!
 //! # Dropout sweep (drift vs dropout rate, fixed seed):
-//! cargo run --release -p mwc-bench --bin faults -- --sweep
+//! mwc faults --sweep
 //! ```
 //!
 //! Without `MWC_FAULT_SEED` set, a representative demo plan is used
 //! (seed 7, 5% dropout, 1% jitter, ~1-in-18 truncated runs).
 use mwc_core::pipeline::Characterization;
-use mwc_core::{PipelineError, StudySpec};
+use mwc_core::{PipelineError, StudyCache, StudySpec};
 use mwc_profiler::faults::FaultConfig;
 use mwc_report::table::{fmt, Table};
+
+use crate::Failure;
 
 /// The five Figure-1 aggregates drift is measured over.
 const METRICS: [&str; 5] = ["IC", "IPC", "cMPKI", "bMPKI", "Runtime"];
@@ -68,8 +70,8 @@ fn run_faulty(faults: &FaultConfig) -> Result<Characterization, PipelineError> {
     Characterization::try_run_spec(&spec)
 }
 
-fn single_study(faults: &FaultConfig) -> Result<(), PipelineError> {
-    mwc_bench::header("Fault-injected study");
+fn single_study(reference: &Characterization, faults: &FaultConfig) -> Result<(), Failure> {
+    crate::header("Fault-injected study");
     println!(
         "plan: seed={} dropout={} jitter={} overflow={} truncation={} run-failure={} attempts={}",
         faults.seed,
@@ -80,7 +82,6 @@ fn single_study(faults: &FaultConfig) -> Result<(), PipelineError> {
         faults.run_failure_rate,
         faults.max_attempts
     );
-    let reference = mwc_bench::study();
     let faulty = run_faulty(faults)?;
 
     println!("\ndegradation: {}", faulty.report().summary());
@@ -89,7 +90,7 @@ fn single_study(faults: &FaultConfig) -> Result<(), PipelineError> {
         println!("  {name:<26} {summary}");
     }
 
-    mwc_bench::header("Figure-1 aggregate drift vs fault-free study");
+    crate::header("Figure-1 aggregate drift vs fault-free study");
     let (means, worst) = drift(reference, &faulty);
     let mut t = Table::new(vec!["Metric", "Mean |drift| %"]);
     for (name, d) in METRICS.iter().zip(means) {
@@ -100,9 +101,8 @@ fn single_study(faults: &FaultConfig) -> Result<(), PipelineError> {
     Ok(())
 }
 
-fn sweep() -> Result<(), PipelineError> {
-    mwc_bench::header("Dropout sweep: aggregate drift vs dropout rate (seed 7, 3 attempts)");
-    let reference = mwc_bench::study();
+fn sweep(reference: &Characterization) -> Result<(), Failure> {
+    crate::header("Dropout sweep: aggregate drift vs dropout rate (seed 7, 3 attempts)");
     let mut t = Table::new(vec![
         "Dropout",
         "Units",
@@ -137,15 +137,18 @@ fn sweep() -> Result<(), PipelineError> {
     Ok(())
 }
 
-fn main() {
-    mwc_bench::run_or_exit(run);
-}
-
-fn run() -> Result<(), PipelineError> {
-    if std::env::args().any(|a| a == "--sweep") {
-        return sweep();
+pub fn run(args: &[String]) -> Result<(), Failure> {
+    let reference = || StudyCache::global().study_spec(&StudySpec::paper_default());
+    match args {
+        [] => {}
+        [flag] if flag == "--sweep" => return sweep(&*reference()?),
+        _ => {
+            return Err(Failure::Usage(format!(
+                "faults: unexpected arguments {args:?}"
+            )))
+        }
     }
-    let mut faults = FaultConfig::from_env().map_err(mwc_core::PipelineError::from)?;
+    let mut faults = FaultConfig::from_env().map_err(PipelineError::from)?;
     if !faults.enabled() {
         println!("MWC_FAULT_SEED unset; using the demo plan");
         faults = FaultConfig {
@@ -156,5 +159,5 @@ fn run() -> Result<(), PipelineError> {
             ..FaultConfig::default()
         };
     }
-    single_study(&faults)
+    single_study(&*reference()?, &faults)
 }

@@ -3,11 +3,11 @@
 use mwc_core::figures::{fig2, FIG2_METRICS};
 use mwc_report::sparkline::labelled_sparkline;
 
-fn main() {
-    mwc_bench::header(
-        "Figure 2: Metric values across normalized runtime (sparklines; avg appended)",
-    );
-    let f = fig2(mwc_bench::study(), 60);
+use crate::{Characterization, Failure};
+
+pub fn run(study: &Characterization) -> Result<(), Failure> {
+    crate::header("Figure 2: Metric values across normalized runtime (sparklines; avg appended)");
+    let f = fig2(study, 60);
     for (name, series) in &f.rows {
         println!("{name}");
         for (metric, s) in FIG2_METRICS.iter().zip(series.iter()) {
@@ -15,4 +15,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -2,15 +2,13 @@
 use mwc_analysis::validation::Algorithm;
 use mwc_report::table::{fmt, Table};
 
-fn main() {
-    mwc_bench::run_or_exit(run);
-}
+use crate::{Characterization, Failure};
 
-fn run() -> Result<(), mwc_core::PipelineError> {
-    mwc_bench::header(
+pub fn run(study: &Characterization) -> Result<(), Failure> {
+    crate::header(
         "Figure 4: Cluster-count validation (Dunn/Silhouette higher better; APN/AD lower better)",
     );
-    let sweep = mwc_core::figures::fig4(mwc_bench::study())?;
+    let sweep = mwc_core::figures::fig4(study)?;
     for alg in Algorithm::ALL {
         println!("{}:", alg.name());
         let mut t = Table::new(vec!["k", "Dunn", "Silhouette", "APN", "AD"]);
@@ -36,10 +34,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
 
     // Silhouette vs k, one series per algorithm (the middle panel of the
     // paper's figure).
-    println!(
-        "
-Silhouette width vs k (higher is better):"
-    );
+    println!("\nSilhouette width vs k (higher is better):");
     let series: Vec<mwc_report::chart::Series> = Algorithm::ALL
         .iter()
         .map(|&alg| {

@@ -1,13 +1,10 @@
 //! Regenerates Figure 5: hierarchical clustering of the benchmarks.
 use mwc_report::dendro::{render, MergeRow};
 
-fn main() {
-    mwc_bench::run_or_exit(run);
-}
+use crate::{Characterization, Failure};
 
-fn run() -> Result<(), mwc_core::PipelineError> {
-    mwc_bench::header("Figure 5: Hierarchical clustering (Ward linkage) dendrogram");
-    let study = mwc_bench::study();
+pub fn run(study: &Characterization) -> Result<(), Failure> {
+    crate::header("Figure 5: Hierarchical clustering (Ward linkage) dendrogram");
     let d = mwc_core::figures::fig5(study)?;
     let labels: Vec<String> = study.names().iter().map(|s| s.to_string()).collect();
     let merges: Vec<MergeRow> = d

@@ -2,15 +2,11 @@
 //! benchmark subsets as members are added.
 use mwc_core::subsets::{naive_subset, select_plus_gpu_subset, select_subset};
 
-fn main() {
-    mwc_bench::run_or_exit(run);
-}
+use crate::{Characterization, Clustering, Failure};
 
-fn run() -> Result<(), mwc_core::PipelineError> {
-    mwc_bench::header("Figure 7: Total minimum Euclidean distance vs subset size");
-    let study = mwc_bench::study();
-    let clustering = mwc_bench::try_clustering()?;
-    let naive = naive_subset(study, &clustering);
+pub fn run(study: &Characterization, clustering: &Clustering) -> Result<(), Failure> {
+    crate::header("Figure 7: Total minimum Euclidean distance vs subset size");
+    let naive = naive_subset(study, clustering);
     let select = select_subset(study);
     let plus = select_plus_gpu_subset(study);
     let sizes = [
@@ -38,10 +34,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
         (1.0 - plus_at_7 / naive_at_7) * 100.0
     );
 
-    println!(
-        "
-Total minimum Euclidean distance vs benchmarks added:"
-    );
+    println!("\nTotal minimum Euclidean distance vs benchmarks added:");
     // Distinct first letters pick distinct plot glyphs.
     let glyph_label = |name: &str| match name {
         "Naive Set" => "Naive".to_owned(),

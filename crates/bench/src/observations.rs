@@ -1,8 +1,10 @@
 //! Checks the paper's nine numbered observations against the study.
-fn main() {
-    mwc_bench::header("Observations #1-#9");
+use crate::{Characterization, Failure};
+
+pub fn run(study: &Characterization) -> Result<(), Failure> {
+    crate::header("Observations #1-#9");
     let mut all_hold = true;
-    for o in mwc_core::observations::check_all(mwc_bench::study()) {
+    for o in mwc_core::observations::check_all(study) {
         all_hold &= o.holds;
         println!(
             "#{} [{}] {}\n    {}\n",
@@ -13,5 +15,9 @@ fn main() {
         );
     }
     println!("all observations hold: {all_hold}");
-    std::process::exit(if all_hold { 0 } else { 1 });
+    if all_hold {
+        Ok(())
+    } else {
+        Err(Failure::Error("not every observation holds".to_owned()))
+    }
 }

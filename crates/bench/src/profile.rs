@@ -13,36 +13,30 @@
 //!
 //! The printed `study digest:` line fingerprints every value the study
 //! produced; `scripts/verify.sh` compares it between traced and untraced
-//! runs to assert that observability never perturbs results. When
-//! `MWC_TRACE=<path>` is set the collected spans are also written as a
-//! Chrome `trace_event` file (or a JSONL log if the path ends in
-//! `.jsonl`) loadable in `chrome://tracing` / Perfetto.
+//! runs to assert that observability never perturbs results. Like every
+//! subcommand, `profile` leaves `MWC_TRACE` to the dispatcher, which
+//! writes the collected spans there after it returns.
 
-use mwc_core::PipelineError;
-use mwc_obs::export;
 use mwc_obs::metrics::Metric;
 use mwc_obs::summary::{fmt_ns, top_spans_by_field, Summary};
 use mwc_report::table::Table;
 
+use crate::Failure;
+
 /// How many of the slowest units to show.
 const TOP_K_UNITS: usize = 8;
 
-fn main() {
-    mwc_bench::run_or_exit(run);
-}
-
-fn run() -> Result<(), PipelineError> {
-    // This binary exists to profile the pipeline, so collection is on
-    // regardless of MWC_TRACE / MWC_PROFILE.
+pub fn run() -> Result<(), Failure> {
+    // This subcommand exists to profile the pipeline, so collection is on
+    // whether or not MWC_TRACE is set.
     mwc_obs::set_enabled(true);
 
-    mwc_bench::header("Self-profile: study + clustering + validation sweep");
+    crate::header("Self-profile: study + clustering + validation sweep");
     // Paper-default spec with the MWC_FAULT_* environment layered on —
     // including per-unit overrides via MWC_FAULT_UNITS, which is what the
     // incremental-recompute gate in scripts/verify.sh exercises.
     let spec = mwc_core::StudySpec::paper_default().with_env_faults()?;
-    let study = mwc_core::cache::StudyCache::global().study_spec(&spec)?;
-    let study = &*study;
+    let study = &*mwc_core::cache::StudyCache::global().study_spec(&spec)?;
     let clustering = mwc_core::figures::fig6(study)?;
     let sweep = mwc_core::figures::fig4(study)?;
 
@@ -55,10 +49,10 @@ fn run() -> Result<(), PipelineError> {
         sweep.points.len(),
     );
 
-    let data = mwc_obs::trace::drain();
+    let data = mwc_obs::trace::snapshot();
     let metrics = mwc_obs::metrics::snapshot();
 
-    mwc_bench::header("Per-stage wall time");
+    crate::header("Per-stage wall time");
     let stage_summary = Summary::from_trace(&data);
     let mut stages = Table::new(vec!["span", "count", "total", "self", "max"]);
     for s in stage_summary.stats() {
@@ -72,14 +66,14 @@ fn run() -> Result<(), PipelineError> {
     }
     println!("{}", stages.render());
 
-    mwc_bench::header(&format!("Slowest units (top {TOP_K_UNITS})"));
+    crate::header(&format!("Slowest units (top {TOP_K_UNITS})"));
     let mut units = Table::new(vec!["unit", "sim time"]);
     for (name, ns) in top_spans_by_field(&data, "pipeline.unit", "name", TOP_K_UNITS) {
         units.row(vec![name, fmt_ns(ns)]);
     }
     println!("{}", units.render());
 
-    mwc_bench::header("Result cache");
+    crate::header("Result cache");
     let cache = mwc_core::cache::StudyCache::global();
     let stats = cache.stats();
     println!("cache location: {}", cache.describe());
@@ -99,7 +93,7 @@ fn run() -> Result<(), PipelineError> {
     }
     println!("{}", cache_table.render());
 
-    mwc_bench::header("Per-stage cache");
+    crate::header("Per-stage cache");
     // Machine-parseable one-liner consumed by scripts/verify.sh's
     // incremental gate (sims = units simulated, reused = units replayed).
     println!("stage stats: {}", cache.stage_summary());
@@ -130,13 +124,13 @@ fn run() -> Result<(), PipelineError> {
     }
     println!("{}", stage_table.render());
 
-    mwc_bench::header("Study database");
-    // Machine-parseable one-liner shared with the `sweep` binary: the
+    crate::header("Study database");
+    // Machine-parseable one-liner shared with `sweep`: the
     // studydb `hits` count is what makes DB replay distinguishable from
     // the result cache's own hit counters above.
-    println!("{}", mwc_bench::studydb_stats_line());
+    println!("{}", crate::studydb_stats_line());
 
-    mwc_bench::header("Capture health");
+    crate::header("Capture health");
     let mut health = Table::new(vec!["metric", "value"]);
     for (name, metric) in &metrics {
         if let (true, Metric::Counter(v)) = (name.starts_with("capture."), metric) {
@@ -148,10 +142,10 @@ fn run() -> Result<(), PipelineError> {
     }
     println!("{}", health.render());
 
-    mwc_bench::header("Kernel timings");
+    crate::header("Kernel timings");
     // The analysis kernels time themselves into `kernel.*` histograms
     // (mwc-analysis::kernels::KernelTimer); collection is on in this
-    // binary, so the hot clustering/correlation paths show up here.
+    // subcommand, so the hot clustering/correlation paths show up here.
     let mut kernel_table = Table::new(vec!["kernel", "calls", "total", "mean", "max"]);
     for (name, metric) in &metrics {
         if let (true, Metric::Histogram(h)) = (name.starts_with("kernel."), metric) {
@@ -175,7 +169,7 @@ fn run() -> Result<(), PipelineError> {
     }
     println!("{}", kernel_table.render());
 
-    mwc_bench::header("Metrics registry");
+    crate::header("Metrics registry");
     let mut dump = Table::new(vec!["metric", "kind", "value"]);
     for (name, metric) in &metrics {
         let (kind, value) = match metric {
@@ -194,21 +188,6 @@ fn run() -> Result<(), PipelineError> {
         dump.row(vec![name.clone(), kind.into(), value]);
     }
     println!("{}", dump.render());
-
-    if let Some(path) = mwc_obs::trace_path() {
-        let body = if export::wants_jsonl(&path) {
-            export::jsonl(&data, &metrics)
-        } else {
-            export::chrome_trace_json(&data)
-        };
-        std::fs::write(&path, body)?;
-        println!(
-            "trace written to {} ({} spans, {} events)",
-            path.display(),
-            data.spans.len(),
-            data.events.len(),
-        );
-    }
 
     Ok(())
 }

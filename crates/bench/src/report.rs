@@ -1,61 +1,36 @@
 //! `report` — list and diff the historical runs in the study database.
 //!
 //! ```text
-//! report                      # list every record in MWC_STUDY_DB
-//! report --spec <digest>      # print a record's wire-format spec
-//! report --diff <a> <b>       # per-unit diff of two runs by digest
+//! mwc report                      # list every record in MWC_STUDY_DB
+//! mwc report --spec <digest>      # print a record's wire-format spec
+//! mwc report --diff <a> <b>       # per-unit diff of two runs by digest
 //! ```
 //!
 //! Digests are the 16-hex `Characterization::digest` values printed by
 //! `profile`, `sweep`, and the list view.
 
 use mwc_core::studydb::{self, StudyDb, StudyRecord};
-use mwc_core::Characterization;
 
-fn usage() -> ! {
-    eprintln!("usage: report [--spec <digest> | --diff <digest-a> <digest-b>]");
-    eprintln!("       (set MWC_STUDY_DB to the database file)");
-    std::process::exit(2);
+use crate::{Characterization, Failure};
+
+fn parse_digest(text: &str) -> Result<u64, Failure> {
+    u64::from_str_radix(text.trim_start_matches("0x"), 16)
+        .map_err(|_| Failure::Usage(format!("report: {text:?} is not a hex digest")))
 }
 
-fn db_or_exit() -> &'static StudyDb {
-    match studydb::global() {
-        Some(db) => db,
-        None => {
-            eprintln!(
-                "report: no study database — set {} to a database file",
-                studydb::STUDY_DB_ENV
-            );
-            std::process::exit(2);
-        }
-    }
+fn find_by_digest(db: &StudyDb, digest: u64) -> Result<(StudyRecord, Characterization), Failure> {
+    let record = db
+        .find_by_digest(digest)
+        .ok_or_else(|| Failure::Error(format!("no record with digest {digest:016x}")))?;
+    let study = record.study().ok_or_else(|| {
+        Failure::Error(format!("record {digest:016x} has a corrupt study payload"))
+    })?;
+    Ok((record, study))
 }
 
-fn parse_digest(text: &str) -> u64 {
-    match u64::from_str_radix(text.trim_start_matches("0x"), 16) {
-        Ok(d) => d,
-        Err(_) => {
-            eprintln!("report: {text:?} is not a hex digest");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn find_by_digest(db: &StudyDb, digest: u64) -> (StudyRecord, Characterization) {
-    let Some(record) = db.find_by_digest(digest) else {
-        eprintln!("report: no record with digest {digest:016x}");
-        std::process::exit(1);
-    };
-    let Some(study) = record.study() else {
-        eprintln!("report: record {digest:016x} has a corrupt study payload");
-        std::process::exit(1);
-    };
-    (record, study)
-}
-
-fn list(db: &StudyDb) {
+fn list(db: &StudyDb) -> Result<(), Failure> {
     let records = db.entries();
-    mwc_bench::header("Study database");
+    crate::header("Study database");
     println!("db: {} ({} records)", db.path().display(), records.len());
     println!();
     println!(
@@ -75,21 +50,24 @@ fn list(db: &StudyDb) {
             r.recorded_unix,
         );
     }
+    Ok(())
 }
 
-fn spec(db: &StudyDb, digest: u64) {
-    let (record, _) = find_by_digest(db, digest);
+fn spec(db: &StudyDb, digest: u64) -> Result<(), Failure> {
+    let (record, _) = find_by_digest(db, digest)?;
     if record.spec_wire.is_empty() {
-        eprintln!("report: record {digest:016x} carries no wire spec");
-        std::process::exit(1);
+        return Err(Failure::Error(format!(
+            "record {digest:016x} carries no wire spec"
+        )));
     }
     print!("{}", record.spec_wire);
+    Ok(())
 }
 
-fn diff(db: &StudyDb, a: u64, b: u64) {
-    let (rec_a, study_a) = find_by_digest(db, a);
-    let (rec_b, study_b) = find_by_digest(db, b);
-    mwc_bench::header("Study diff");
+fn diff(db: &StudyDb, a: u64, b: u64) -> Result<(), Failure> {
+    let (rec_a, study_a) = find_by_digest(db, a)?;
+    let (rec_b, study_b) = find_by_digest(db, b)?;
+    crate::header("Study diff");
     println!(
         "a: digest={a:016x} exec={} units={}",
         rec_a.exec, rec_a.units
@@ -100,7 +78,7 @@ fn diff(db: &StudyDb, a: u64, b: u64) {
     );
     if a == b {
         println!("\nidentical digests — bit-identical studies");
-        return;
+        return Ok(());
     }
     println!();
     println!(
@@ -152,18 +130,20 @@ fn diff(db: &StudyDb, a: u64, b: u64) {
     if !fa.is_empty() || !fb.is_empty() {
         println!("\nfailed units: a={fa:?} b={fb:?}");
     }
+    Ok(())
 }
 
-fn main() {
-    mwc_bench::run_or_exit(|| {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let db = db_or_exit();
-        match args.as_slice() {
-            [] => list(db),
-            [flag, digest] if flag == "--spec" => spec(db, parse_digest(digest)),
-            [flag, a, b] if flag == "--diff" => diff(db, parse_digest(a), parse_digest(b)),
-            _ => usage(),
-        }
-        Ok(())
-    });
+pub fn run(args: &[String]) -> Result<(), Failure> {
+    let Some(db) = studydb::global() else {
+        return Err(Failure::Usage(format!(
+            "report: no study database — set {} to a database file",
+            studydb::STUDY_DB_ENV
+        )));
+    };
+    match args {
+        [] => list(db),
+        [flag, digest] if flag == "--spec" => spec(db, parse_digest(digest)?),
+        [flag, a, b] if flag == "--diff" => diff(db, parse_digest(a)?, parse_digest(b)?),
+        _ => Err(Failure::Usage(format!("report: bad arguments {args:?}"))),
+    }
 }

@@ -2,8 +2,8 @@
 use mwc_report::table::Table;
 use mwc_workloads::registry::suite_inventory;
 
-fn main() {
-    mwc_bench::header("Table I: Commercial mobile benchmark suites analyzed");
+pub fn run() {
+    crate::header("Table I: Commercial mobile benchmark suites analyzed");
     let mut t = Table::new(vec![
         "Benchmark Suite",
         "Benchmark Names",

@@ -2,8 +2,8 @@
 use mwc_report::table::Table;
 use mwc_soc::config::SocConfig;
 
-fn main() {
-    mwc_bench::header("Table II: Hardware platform for experiments");
+pub fn run() {
+    crate::header("Table II: Hardware platform for experiments");
     let soc = SocConfig::snapdragon_888();
     let mut t = Table::new(vec!["Component", "Configuration"]);
     t.row(vec!["Platform".into(), soc.name.clone()]);

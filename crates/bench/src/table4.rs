@@ -1,8 +1,8 @@
 //! Regenerates Table IV: the performance metrics of the temporal analysis.
 use mwc_report::table::Table;
 
-fn main() {
-    mwc_bench::header("Table IV: Performance Metrics");
+pub fn run() {
+    crate::header("Table IV: Performance Metrics");
     let mut t = Table::new(vec!["Metric", "Explanation"]);
     for (metric, explanation) in [
         (

@@ -2,7 +2,7 @@
 //!
 //! The paper's methodology re-evaluates the same `(workload set, seed,
 //! run count, platform, fault model)` characterizations over and over —
-//! every figure/table binary, every test pass and every validation sweep
+//! every figure/table of `mwc`, every test pass and every validation sweep
 //! starts from the identical study. This module memoizes those results so
 //! only the *first* invocation simulates; warm runs deserialize and are
 //! bit-identical (asserted via [`Characterization::digest`]).

@@ -16,7 +16,7 @@
 //! * [`log`] — leveled wide-event JSONL logging (`MWC_LOG`,
 //!   `MWC_LOG_FILE`), one self-describing line per request/event;
 //! * [`summary`] — per-span-name aggregation (count / total / self / max)
-//!   for the human `--profile` tables rendered by `mwc-bench`;
+//!   for the human tables `mwc profile` prints;
 //! * [`collector`] — collection scopes: a [`Collector`] installed on a
 //!   thread (and handed on to its fan-out workers) receives that work's
 //!   spans and metrics apart from everything else the process observes.
@@ -35,8 +35,7 @@
 //!
 //! | Knob | Effect |
 //! |------|--------|
-//! | `MWC_TRACE=<path>` | collect spans/events/metrics; binaries write a Chrome trace (or JSONL if the path ends in `.jsonl`) to `<path>` on exit |
-//! | `MWC_PROFILE=1` | collect spans/events/metrics; binaries print a profile summary table |
+//! | `MWC_TRACE=<path>` | collect spans/events/metrics; `mwc` and `mwc-server` write a Chrome trace (or JSONL if the path ends in `.jsonl`) to `<path>` on exit |
 //!
 //! Programs (and tests) can also flip collection programmatically with
 //! [`set_enabled`], which takes precedence over the environment, or
@@ -73,11 +72,8 @@ pub use trace::{event, event_with, span, span_with_parent, SpanGuard, SpanHandle
 /// Environment variable naming the trace output path (enables collection).
 pub const TRACE_ENV: &str = "MWC_TRACE";
 
-/// Environment variable requesting a profile summary (enables collection).
-pub const PROFILE_ENV: &str = "MWC_PROFILE";
-
 /// Whether observability collection is on. Off by default; turned on by
-/// `MWC_TRACE` / `MWC_PROFILE` (read once, at first call) or by
+/// `MWC_TRACE` (read once, at first call) or by
 /// [`set_enabled`].
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -92,15 +88,15 @@ static ENV_PROBE: Once = Once::new();
 #[inline]
 pub fn enabled() -> bool {
     ENV_PROBE.call_once(|| {
-        if trace_path().is_some() || profile_requested() {
+        if trace_path().is_some() {
             ENABLED.store(true, Ordering::Relaxed);
         }
     });
     ENABLED.load(Ordering::Relaxed) || collector::in_scope()
 }
 
-/// Turn global collection on or off programmatically (tests, the
-/// `profile` binary). Overrides whatever the environment probe decided.
+/// Turn global collection on or off programmatically (tests,
+/// `mwc profile`). Overrides whatever the environment probe decided.
 /// Threads with a [`Collector`] installed collect regardless.
 pub fn set_enabled(on: bool) {
     ENV_PROBE.call_once(|| {});
@@ -112,13 +108,6 @@ pub fn trace_path() -> Option<PathBuf> {
     std::env::var_os(TRACE_ENV)
         .filter(|v| !v.is_empty())
         .map(PathBuf::from)
-}
-
-/// Whether `MWC_PROFILE` requests a profile summary (set and not `0`).
-pub fn profile_requested() -> bool {
-    std::env::var(PROFILE_ENV)
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
 }
 
 /// Drop all collected spans, events and metrics and return to a pristine

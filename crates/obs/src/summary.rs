@@ -1,5 +1,5 @@
 //! Aggregation of collected spans into per-name statistics for the human
-//! `--profile` tables (rendered by `mwc-bench` via `mwc-report`).
+//! tables `mwc profile` prints (rendered via `mwc-report`).
 
 use std::collections::HashMap;
 

@@ -398,9 +398,19 @@ pub fn event_with(name: &str, fields: Vec<(String, Value)>) {
 }
 
 /// Empty every thread's buffer and return the merged, deterministically
-/// ordered records (everything recorded outside a [`Collector`] scope). Spans still open (guards not yet dropped) are not
-/// included — they will appear in a later drain.
+/// ordered records (everything recorded outside a [`Collector`] scope).
+/// Spans still open (guards not yet dropped) are not included — they will
+/// appear in a later drain.
 pub fn drain() -> TraceData {
+    collect(true)
+}
+
+/// What [`drain`] would return, leaving every buffer as it is.
+pub fn snapshot() -> TraceData {
+    collect(false)
+}
+
+fn collect(empty: bool) -> TraceData {
     let Some(registry) = BUFFERS.get() else {
         return TraceData::default();
     };
@@ -411,8 +421,13 @@ pub fn drain() -> TraceData {
         if buf.spans.is_empty() && buf.events.is_empty() {
             continue;
         }
-        data.spans.append(&mut buf.spans);
-        data.events.append(&mut buf.events);
+        if empty {
+            data.spans.append(&mut buf.spans);
+            data.events.append(&mut buf.events);
+        } else {
+            data.spans.extend_from_slice(&buf.spans);
+            data.events.extend_from_slice(&buf.events);
+        }
         let name = buf
             .thread_name
             .clone()
@@ -533,6 +548,16 @@ mod tests {
         assert!(first.span_named("b").is_none());
         assert!(second.span_named("a").is_none());
         assert!(second.span_named("b").is_some());
+    }
+
+    #[test]
+    fn snapshot_leaves_the_records_for_drain() {
+        let (snapshot, drained) = with_tracing(|| {
+            drop(span("a"));
+            (snapshot(), drain())
+        });
+        assert!(snapshot.span_named("a").is_some());
+        assert_eq!(snapshot, drained);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! ASCII line charts: multi-series plots on a character grid, used by the
 //! Figure 4 (validation vs k) and Figure 7 (distance vs subset size)
-//! binaries.
+//! sections of `mwc`.
 
 /// A named data series for [`line_chart`].
 #[derive(Debug, Clone)]

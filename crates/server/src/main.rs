@@ -41,7 +41,7 @@ fn main() -> ExitCode {
     );
     let stats = server.join();
 
-    // Flush observability the same way the profile binary does: honor
+    // Flush observability the same way `mwc` does: honor
     // MWC_TRACE if set, so a served session is inspectable post-mortem.
     if let Some(path) = mwc_obs::trace_path() {
         let data = mwc_obs::trace::drain();

@@ -58,8 +58,7 @@ impl OppTable {
 
 /// Frequency-scaling policy: which Linux cpufreq governor the platform
 /// runs. The paper's platform uses the stock (schedutil) governor; the
-/// alternatives support design-space ablations (see the `ablation` binary
-/// of `mwc-bench`).
+/// alternatives support design-space ablations (see `mwc ablation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GovernorPolicy {
     /// Track utilization with 25% headroom and smoothed ramping (default).

@@ -51,7 +51,7 @@ impl Placement {
 
 /// Thread-placement policy. The paper's platform runs Android's
 /// energy-aware scheduler; the alternatives support design-space
-/// ablations (see the `ablation` binary of `mwc-bench`).
+/// ablations (see `mwc ablation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlacementPolicy {
     /// Android EAS behaviour: light/medium work packs on the littles,

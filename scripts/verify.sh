@@ -66,8 +66,8 @@ echo "==> observability neutrality (traced vs untraced study digest)"
 # MWC_CACHE=off so both digests come from real computations — the cache
 # path has its own gate below.
 trace_tmp="target/verify-trace.json"
-digest_off=$(MWC_CACHE=off ./target/release/profile | awk '/^study digest:/ { print $3 }') || exit 1
-digest_on=$(MWC_CACHE=off MWC_TRACE="$trace_tmp" ./target/release/profile | awk '/^study digest:/ { print $3 }') || exit 1
+digest_off=$(MWC_CACHE=off ./target/release/mwc profile | awk '/^study digest:/ { print $3 }') || exit 1
+digest_on=$(MWC_CACHE=off MWC_TRACE="$trace_tmp" ./target/release/mwc profile | awk '/^study digest:/ { print $3 }') || exit 1
 if [ -z "$digest_off" ] || [ -z "$digest_on" ]; then
     echo "error: profile binary printed no study digest" >&2
     exit 1
@@ -87,7 +87,7 @@ echo "==> engine equivalence (dense vs event-driven core digest)"
 # The event-driven core is the default; forcing the dense per-tick core
 # must reproduce the exact same study digest — the bit-identity contract
 # from tests/event_engine.rs, re-checked end to end on the release binary.
-digest_dense=$(MWC_CACHE=off MWC_SOC_ENGINE=dense ./target/release/profile \
+digest_dense=$(MWC_CACHE=off MWC_SOC_ENGINE=dense ./target/release/mwc profile \
     | awk '/^study digest:/ { print $3 }') || exit 1
 if [ -z "$digest_dense" ]; then
     echo "error: profile binary printed no study digest under MWC_SOC_ENGINE=dense" >&2
@@ -105,7 +105,7 @@ echo "==> telemetry neutrality (wide-event logs + debug ring vs all-off digest)"
 log_tmp="target/verify-telemetry-log.jsonl"
 rm -f "$log_tmp"
 digest_logged=$(MWC_CACHE=off MWC_LOG=debug MWC_LOG_FILE="$log_tmp" MWC_SERVER_DEBUG_RING=64 \
-    ./target/release/profile | awk '/^study digest:/ { print $3 }') || exit 1
+    ./target/release/mwc profile | awk '/^study digest:/ { print $3 }') || exit 1
 if [ -z "$digest_logged" ]; then
     echo "error: profile binary printed no study digest under MWC_LOG=debug" >&2
     exit 1
@@ -121,9 +121,9 @@ echo "==> result cache (cold vs warm digest, corruption degradation)"
 cache_dir="target/verify-cache"
 rm -rf "$cache_dir"
 
-cold_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || exit 1
+cold_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/mwc profile) || exit 1
 digest_cold=$(printf '%s\n' "$cold_out" | awk '/^study digest:/ { print $3 }')
-warm_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || exit 1
+warm_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/mwc profile) || exit 1
 digest_warm=$(printf '%s\n' "$warm_out" | awk '/^study digest:/ { print $3 }')
 warm_hits=$(printf '%s\n' "$warm_out" \
     | awk '/^cache stats:/ { for (i = 1; i <= NF; i++) if (sub("^disk_hits=", "", $i)) print $i }')
@@ -153,7 +153,7 @@ if [ "$found_entry" -eq 0 ]; then
     echo "error: cold run left no cache entries in $cache_dir" >&2
     exit 1
 fi
-corrupt_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || {
+corrupt_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/mwc profile) || {
     echo "error: corrupted cache entries broke the run instead of degrading" >&2
     exit 1
 }
@@ -179,9 +179,9 @@ incr_dir="target/verify-incr"
 incr_cold_dir="target/verify-incr-cold"
 rm -rf "$incr_dir" "$incr_cold_dir"
 
-MWC_CACHE_DIR="$incr_dir" ./target/release/profile >/dev/null || exit 1
+MWC_CACHE_DIR="$incr_dir" ./target/release/mwc profile >/dev/null || exit 1
 flip_out=$(MWC_CACHE_DIR="$incr_dir" MWC_FAULT_SEED=7 MWC_FAULT_JITTER=0.01 \
-    MWC_FAULT_UNITS="Antutu CPU" ./target/release/profile) || exit 1
+    MWC_FAULT_UNITS="Antutu CPU" ./target/release/mwc profile) || exit 1
 digest_flip=$(printf '%s\n' "$flip_out" | awk '/^study digest:/ { print $3 }')
 flip_sims=$(printf '%s\n' "$flip_out" \
     | awk '/^stage stats:/ { for (i = 1; i <= NF; i++) if (sub("^sims=", "", $i)) print $i }')
@@ -198,7 +198,7 @@ if [ "$flip_sims" -ne 1 ] || [ "$flip_reused" -ne 17 ]; then
 fi
 
 cold_flip_out=$(MWC_CACHE_DIR="$incr_cold_dir" MWC_FAULT_SEED=7 MWC_FAULT_JITTER=0.01 \
-    MWC_FAULT_UNITS="Antutu CPU" ./target/release/profile) || exit 1
+    MWC_FAULT_UNITS="Antutu CPU" ./target/release/mwc profile) || exit 1
 digest_cold_flip=$(printf '%s\n' "$cold_flip_out" | awk '/^study digest:/ { print $3 }')
 if [ "$digest_flip" != "$digest_cold_flip" ]; then
     echo "error: incremental study diverged from cold recompute: $digest_flip vs $digest_cold_flip" >&2
@@ -215,7 +215,7 @@ fleet_units="Aitutu, Antutu CPU, Antutu GPU"
 fleet_db="target/verify-fleet.mwdb"
 rm -f "$fleet_db"
 
-fleet_local_out=$(MWC_CACHE=off ./target/release/sweep \
+fleet_local_out=$(MWC_CACHE=off ./target/release/mwc sweep \
     --seeds 3 --base-seed 4100 --units "$fleet_units") || exit 1
 fleet_digest_local=$(printf '%s\n' "$fleet_local_out" | awk '/^sweep digest:/ { print $3 }')
 if [ -z "$fleet_digest_local" ]; then
@@ -227,9 +227,9 @@ fi
 # completes one point and stops (--limit 1); the rerun must replay that
 # point from the DB and simulate only the remaining two (soc_runs is
 # the oracle: 2 points x 3 units x 1 run).
-MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/sweep \
+MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/mwc sweep \
     --seeds 3 --base-seed 4100 --units "$fleet_units" --limit 1 >/dev/null || exit 1
-fleet_resume_out=$(MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/sweep \
+fleet_resume_out=$(MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/mwc sweep \
     --seeds 3 --base-seed 4100 --units "$fleet_units") || exit 1
 fleet_digest_resume=$(printf '%s\n' "$fleet_resume_out" | awk '/^sweep digest:/ { print $3 }')
 fleet_replayed=$(printf '%s\n' "$fleet_resume_out" \
@@ -249,7 +249,7 @@ if [ -z "$fleet_soc_runs" ] || [ "$fleet_soc_runs" -ne 6 ]; then
     echo "error: resume ran $fleet_soc_runs simulations (want 6 = 2 points x 3 units)" >&2
     exit 1
 fi
-MWC_STUDY_DB="$fleet_db" ./target/release/report | grep -q "(3 records)" || {
+MWC_STUDY_DB="$fleet_db" ./target/release/mwc report | grep -q "(3 records)" || {
     echo "error: report did not list the 3 sweep records in $fleet_db" >&2
     exit 1
 }
@@ -263,7 +263,7 @@ flip_byte=$(dd if="$fleet_db" bs=1 skip="$flip_at" count=1 2>/dev/null | od -An 
 # shellcheck disable=SC2059
 printf "$(printf '\\%03o' $((flip_byte ^ 64)))" \
     | dd of="$fleet_db" bs=1 seek="$flip_at" count=1 conv=notrunc 2>/dev/null || exit 1
-fleet_corrupt_out=$(MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/sweep \
+fleet_corrupt_out=$(MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/mwc sweep \
     --seeds 3 --base-seed 4100 --units "$fleet_units") || exit 1
 fleet_digest_corrupt=$(printf '%s\n' "$fleet_corrupt_out" | awk '/^sweep digest:/ { print $3 }')
 fleet_replayed=$(printf '%s\n' "$fleet_corrupt_out" \

@@ -18,8 +18,8 @@
 //! * [`core`] — the paper's study: the characterization pipeline, feature
 //!   matrices, Observations #1–#9, Tables III/V/VI and Figures 1–7.
 //!
-//! See the `examples/` directory for runnable entry points and the
-//! `mwc-bench` crate for the per-table/per-figure reproduction binaries.
+//! The `mwc-bench` crate's `mwc` binary regenerates every table and
+//! figure (`mwc <name>`, or `mwc all` for the paper in order).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
