@@ -311,11 +311,7 @@ mod tests {
         let d = hierarchical(&blobs(), Linkage::Average).unwrap();
         let first = d.merges()[0];
         // Closest pair in `blobs` is (0,1)/(0,2)/(3,4) at distance 0.2.
-        #[cfg(not(feature = "f32-kernels"))]
-        let tol = 1e-9;
-        #[cfg(feature = "f32-kernels")]
-        let tol = 1e-4;
-        assert!((first.distance - 0.2).abs() < tol);
+        assert!((first.distance - 0.2).abs() < 1e-9);
     }
 
     #[test]

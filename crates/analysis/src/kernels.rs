@@ -16,40 +16,12 @@
 //! * normalization — per-column bounds from one row-order pass, then a
 //!   single row-major rewrite.
 //!
-//! In the default `f64` build every kernel is bit-identical to its scalar
-//! reference (property-tested in `tests/properties.rs`). The optional
-//! `f32-kernels` cargo feature stages the bulk pairwise/Pearson kernels
-//! through `f32` for twice the effective memory bandwidth, at the cost of
-//! that bit-identity (≈1e-7 relative error); the scalar entry points stay
-//! `f64` either way.
+//! Every kernel is bit-identical to its scalar reference (property-tested
+//! in `tests/properties.rs`).
 
 use std::time::Instant;
 
 use crate::matrix::Matrix;
-
-/// The element type the bulk kernels stage their inputs through.
-#[cfg(feature = "f32-kernels")]
-pub(crate) type Lane = f32;
-/// The element type the bulk kernels stage their inputs through.
-#[cfg(not(feature = "f32-kernels"))]
-pub(crate) type Lane = f64;
-
-/// Which kernel arithmetic this build uses — mixed into analysis cache
-/// keys so `f32-kernels` results are never served to an `f64` build (or
-/// vice versa).
-#[cfg(feature = "f32-kernels")]
-pub const KERNEL_VARIANT: &str = "f32";
-/// Which kernel arithmetic this build uses.
-#[cfg(not(feature = "f32-kernels"))]
-pub const KERNEL_VARIANT: &str = "f64";
-
-/// Widen a kernel lane back to `f64` — the identity on the default build,
-/// a genuine conversion under `f32-kernels`.
-#[allow(clippy::unnecessary_cast)]
-#[inline]
-fn widen(x: Lane) -> f64 {
-    x as f64
-}
 
 /// Scope timer feeding the `kernel.*_ns` histograms (`mwc-obs`). Reads the
 /// clock only when collection is enabled, so disabled runs pay one atomic
@@ -76,16 +48,16 @@ impl Drop for KernelTimer {
     }
 }
 
-/// Column-major copy of `m` (column `c` occupies `[c·n, (c+1)·n)`), staged
-/// into the kernel lane type. This is the transpose that makes the
-/// pairs-inner distance loop read contiguous memory.
-pub(crate) fn to_col_major(m: &Matrix) -> Vec<Lane> {
+/// Column-major copy of `m` (column `c` occupies `[c·n, (c+1)·n)`). This
+/// is the transpose that makes the pairs-inner distance loop read
+/// contiguous memory.
+pub(crate) fn to_col_major(m: &Matrix) -> Vec<f64> {
     let n = m.rows();
     let cols = m.cols();
-    let mut out = vec![0.0 as Lane; n * cols];
+    let mut out = vec![0.0f64; n * cols];
     for (t, row) in m.iter_rows().enumerate() {
         for (c, &v) in row.iter().enumerate() {
-            out[c * n + t] = v as Lane;
+            out[c * n + t] = v;
         }
     }
     out
@@ -97,13 +69,13 @@ pub(crate) fn to_col_major(m: &Matrix) -> Vec<Lane> {
 /// For each row `i` the kernel keeps one accumulator per earlier row `j`
 /// and adds `(x_ic − x_jc)²` dimension by dimension — the same sequential
 /// order as the scalar `euclidean(row_i, row_j)`, so every distance is
-/// bit-identical to the scalar reference in the `f64` build, while the
+/// bit-identical to the scalar reference, while the
 /// inner `j` loop runs over contiguous memory and autovectorizes.
 pub(crate) fn pairwise_euclidean_packed(m: &Matrix) -> Vec<f64> {
     let n = m.rows();
     let cols = m.cols();
     let xt = to_col_major(m);
-    let mut packed = vec![0.0 as Lane; n * n.saturating_sub(1) / 2];
+    let mut packed = vec![0.0f64; n * n.saturating_sub(1) / 2];
     let mut start = 0usize;
     for i in 1..n {
         let acc = &mut packed[start..start + i];
@@ -117,13 +89,13 @@ pub(crate) fn pairwise_euclidean_packed(m: &Matrix) -> Vec<f64> {
         }
         start += i;
     }
-    packed.iter().map(|&s| widen(s).sqrt()).collect()
+    packed.iter().map(|&s| s.sqrt()).collect()
 }
 
 /// Per-column state for the fused Pearson kernel.
 struct Centered {
     /// Row-major centered data (`NaN`-free columns only are meaningful).
-    rows: Vec<Lane>,
+    rows: Vec<f64>,
     /// `Σ dx²` per column, accumulated in row order.
     sumsq: Vec<f64>,
     /// Whether every value in the column is finite (fast path eligible).
@@ -146,12 +118,12 @@ fn center_columns(m: &Matrix) -> Centered {
         }
     }
     let means: Vec<f64> = sums.iter().map(|s| s / n.max(1) as f64).collect();
-    let mut rows = vec![0.0 as Lane; n * cols];
+    let mut rows = vec![0.0f64; n * cols];
     let mut sumsq = vec![0.0f64; cols];
     for (t, row) in m.iter_rows().enumerate() {
         for (c, &v) in row.iter().enumerate() {
             let dx = v - means[c];
-            rows[t * cols + c] = dx as Lane;
+            rows[t * cols + c] = dx;
             sumsq[c] += dx * dx;
         }
     }
@@ -173,14 +145,14 @@ fn center_columns(m: &Matrix) -> Centered {
 /// so those pairs cannot share centered columns. All-finite pairs take the
 /// fused path: covariances accumulate time-outer / pair-inner over
 /// contiguous centered rows, in the same per-pair order as the scalar
-/// two-pass reference (bit-identical in the `f64` build).
+/// two-pass reference (bit-identical).
 pub(crate) fn correlation_matrix_fused(m: &Matrix) -> Matrix {
     let k = m.cols();
     let ctr = center_columns(m);
     let mut out = Matrix::zeros(k, k);
     // Gram lower triangle: cov[i][j] for j < i, one contiguous accumulator
     // row per i, time as the sequential outer loop.
-    let mut cov = vec![0.0 as Lane; k * k.saturating_sub(1) / 2];
+    let mut cov = vec![0.0f64; k * k.saturating_sub(1) / 2];
     if ctr.n >= 2 {
         let mut start = 0usize;
         for i in 1..k {
@@ -208,7 +180,7 @@ pub(crate) fn correlation_matrix_fused(m: &Matrix) -> Matrix {
                 if vx == 0.0 || vy == 0.0 {
                     0.0
                 } else {
-                    widen(cov[start + j]) / (vx.sqrt() * vy.sqrt())
+                    cov[start + j] / (vx.sqrt() * vy.sqrt())
                 }
             } else {
                 // Gap fallback: pairwise-complete scalar path on column
@@ -256,13 +228,7 @@ mod tests {
             for j in 0..i {
                 let reference = euclidean(m.row(i), m.row(j));
                 let got = packed[idx];
-                #[cfg(not(feature = "f32-kernels"))]
                 assert_eq!(got.to_bits(), reference.to_bits(), "pair ({i},{j})");
-                #[cfg(feature = "f32-kernels")]
-                assert!(
-                    (got - reference).abs() <= 1e-4 * reference.abs().max(1.0),
-                    "pair ({i},{j}): {got} vs {reference}"
-                );
                 idx += 1;
             }
         }
@@ -278,13 +244,7 @@ mod tests {
                 let reference = pearson(&m.col(i), &m.col(j));
                 let got = c.get(i, j);
                 assert_eq!(got, c.get(j, i));
-                #[cfg(not(feature = "f32-kernels"))]
                 assert_eq!(got.to_bits(), reference.to_bits(), "pair ({i},{j})");
-                #[cfg(feature = "f32-kernels")]
-                assert!(
-                    (got - reference).abs() <= 1e-4,
-                    "pair ({i},{j}): {got} vs {reference}"
-                );
             }
         }
     }
@@ -300,10 +260,7 @@ mod tests {
         for i in 0..3 {
             for j in 0..i {
                 let reference = pearson(&m.col(i), &m.col(j));
-                #[cfg(not(feature = "f32-kernels"))]
                 assert_eq!(c.get(i, j).to_bits(), reference.to_bits());
-                #[cfg(feature = "f32-kernels")]
-                assert!((c.get(i, j) - reference).abs() <= 1e-4);
             }
         }
         // Columns 0 and 2 are perfectly proportional.
@@ -319,13 +276,5 @@ mod tests {
         assert!(pairwise_euclidean_packed(&one).is_empty());
         let constant = Matrix::from_rows(&[vec![3.0, 1.0], vec![3.0, 2.0]]).unwrap();
         assert_eq!(correlation_matrix_fused(&constant).get(0, 1), 0.0);
-    }
-
-    #[test]
-    fn kernels_variant_matches_feature() {
-        #[cfg(feature = "f32-kernels")]
-        assert_eq!(KERNEL_VARIANT, "f32");
-        #[cfg(not(feature = "f32-kernels"))]
-        assert_eq!(KERNEL_VARIANT, "f64");
     }
 }

@@ -167,8 +167,6 @@ mod tests {
         assert!(silhouette_width(&m, &good) > silhouette_width(&m, &worse));
     }
 
-    // Bit-identity only holds on the default f64 kernel path.
-    #[cfg(not(feature = "f32-kernels"))]
     #[test]
     fn shared_distances_are_bit_identical() {
         let (m, good) = two_blobs();

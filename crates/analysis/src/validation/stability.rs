@@ -202,8 +202,6 @@ mod tests {
         assert!(tight < loose);
     }
 
-    // Bit-identity only holds on the default f64 kernel path.
-    #[cfg(not(feature = "f32-kernels"))]
     #[test]
     fn precomputed_cores_match_the_clusterer_driven_path() {
         for m in [stable_data(), unstable_data()] {

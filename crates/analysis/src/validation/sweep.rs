@@ -363,8 +363,6 @@ mod tests {
         assert!(s.points.is_empty());
     }
 
-    // Bit-identity only holds on the default f64 kernel path.
-    #[cfg(not(feature = "f32-kernels"))]
     #[test]
     fn shared_path_matches_unshared_reference() {
         let m = data();

@@ -147,9 +147,8 @@ fn main() {
     .collect();
     let json = format!
 (
-        "{{\n  \"generated_by\": \"cargo bench --bench kernels\",\n  \"mode\": \"{}\",\n  \"kernel_variant\": \"{}\",\n  \"benches\": [\n{}\n  ],\n  \"speedup_rows_over_columnar\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"generated_by\": \"cargo bench --bench kernels\",\n  \"mode\": \"{}\",\n  \"kernel_variant\": \"f64\",\n  \"benches\": [\n{}\n  ],\n  \"speedup_rows_over_columnar\": {{\n{}\n  }}\n}}\n",
         if fast { "fast-smoke" } else { "full" },
-        mwc_analysis::KERNEL_VARIANT,
         bench_lines.join(",\n"),
         speedup_lines.join(",\n"),
     );

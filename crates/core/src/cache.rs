@@ -85,15 +85,15 @@ const UNIT_MAGIC: &[u8; 4] = b"MWCU";
 
 /// The content-addressed key of a Fig-4 validation sweep over a feature
 /// matrix (`matrix_digest` from [`Matrix::digest`]) and a k range. The
-/// analysis kernel arithmetic variant (`f64`, or `f32` under the
-/// `f32-kernels` feature) is keyed so a sweep cached by one build is never
-/// served to a build whose kernels round differently.
+/// literal `"f64"` names the analysis kernels' arithmetic; it stays in the
+/// hash so keys written by earlier builds (which keyed a selectable kernel
+/// variant here) still match.
 pub fn sweep_key(matrix_digest: u64, ks: &[usize]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_str("mwc-sweep");
     h.write_u64(u64::from(CACHE_SCHEMA_VERSION));
     h.write_str(env!("CARGO_PKG_VERSION"));
-    h.write_str(mwc_analysis::KERNEL_VARIANT);
+    h.write_str("f64");
     h.write_u64(matrix_digest);
     h.write_usize(ks.len());
     for &k in ks {

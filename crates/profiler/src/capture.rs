@@ -343,11 +343,6 @@ impl Profiler {
     /// is identical whether this unit is profiled first, last, or on a
     /// different worker thread than its neighbours — the property the
     /// parallel pipeline in `mwc-core` relies on.
-    ///
-    /// The capture is also independent of the engine's simulation core
-    /// ([`mwc_soc::engine::EngineMode`]): the event-driven core produces
-    /// bit-identical traces to the dense one, so profiles, digests and
-    /// cache keys never observe which core ran.
     pub fn capture_unit_runs(
         &mut self,
         workload: &dyn Workload,
@@ -477,7 +472,6 @@ mod tests {
     use super::*;
     use mwc_soc::config::SocConfig;
     use mwc_soc::cpu::CpuDemand;
-    use mwc_soc::engine::EngineMode;
     use mwc_soc::workload::{ConstantWorkload, Demand};
 
     fn profiler() -> Profiler {
@@ -534,23 +528,6 @@ mod tests {
         let _ = warm.capture_unit_runs(&other, 2, 2);
         let after = warm.capture_unit_runs(&w, 5, 2);
         assert_eq!(direct, after);
-    }
-
-    #[test]
-    fn captures_are_invariant_to_the_engine_mode() {
-        let w = workload();
-        let capture_with = |mode| {
-            let mut engine = Engine::new(SocConfig::snapdragon_888(), 0).expect("valid preset");
-            engine.set_mode(mode);
-            let mut p = Profiler::new(engine, 100);
-            p.capture_unit_runs(&w, 5, 2)
-        };
-        // The event core is bit-identical to the dense core, so nothing
-        // downstream of the capture path (profiles, digests, cache keys)
-        // can observe which one ran.
-        let dense = capture_with(EngineMode::Dense);
-        let event = capture_with(EngineMode::Event);
-        assert_eq!(dense, event, "capture path observed the engine mode");
     }
 
     #[test]

@@ -138,15 +138,6 @@ impl Cluster {
         }
     }
 
-    /// Whether an *idle* tick (no assigned threads) would leave the
-    /// cluster bit-identical: with nothing assigned the pipeline, caches
-    /// and predictor are pure and unused, so the only evolving state is
-    /// the DVFS governor — quiescence is its zero-utilization fixpoint.
-    /// The event engine uses this to skip idle clusters entirely.
-    pub fn is_quiescent(&self) -> bool {
-        self.governor.is_settled_at(0.0)
-    }
-
     /// Reset DVFS state between benchmark runs.
     pub fn reset(&mut self) {
         self.governor.reset();
@@ -260,23 +251,6 @@ mod tests {
         }
         assert!(r_cont.counters.ipc() < r_clean.counters.ipc());
         assert!(r_cont.counters.cache_mpki() > r_clean.counters.cache_mpki());
-    }
-
-    #[test]
-    fn quiescence_means_idle_ticks_are_identities() {
-        let mut c = big_cluster();
-        assert!(c.is_quiescent(), "fresh cluster rests at the floor OPP");
-        let t = ThreadDemand::new(1.0);
-        c.tick(std::slice::from_ref(&t), 0.1);
-        assert!(!c.is_quiescent(), "ramping after load");
-        // Ramp back down to the idle fixpoint.
-        for _ in 0..200 {
-            c.tick(&[], 0.1);
-        }
-        assert!(c.is_quiescent());
-        let before = c.tick(&[], 0.1);
-        let after = c.tick(&[], 0.1);
-        assert_eq!(before, after, "idle ticks at the fixpoint are no-ops");
     }
 
     #[test]

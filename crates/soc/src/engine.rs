@@ -1,7 +1,7 @@
 //! The simulation engine.
 //!
 //! [`Engine::run`] executes a [`Workload`] over a tick-granular
-//! [`SimClock`]; each executed tick:
+//! [`SimClock`]; every tick of the run:
 //!
 //! 1. sample the workload's demand and apply small seeded run-to-run noise
 //!    (the paper averages three runs of every benchmark);
@@ -12,25 +12,20 @@
 //! 4. place CPU threads with the EAS scheduler and tick every cluster;
 //! 5. tick memory and storage and record a [`TickSample`].
 //!
-//! Two interchangeable cores drive that loop. The **dense** core executes
-//! every tick. The **event** core (the default) executes only ticks where
-//! something can change — a workload phase boundary, a demand whose noise
-//! must advance the RNG, or a device still ramping its DVFS governor —
-//! and materializes the in-between samples by replication, because at
-//! those ticks the whole SoC is provably at a fixpoint and a dense tick
-//! would be a state-preserving identity. Both cores produce bit-identical
-//! traces; `tests/event_engine.rs` and the `MWC_SOC_ENGINE=dense` gate in
-//! `scripts/verify.sh` pin that equivalence. See `DESIGN.md` §15.
+//! Every tick is executed: step 1 draws from the seeded RNG whenever the
+//! demand carries CPU, GPU or AIE work, which every paper unit does on
+//! every tick, so no tick can be skipped without changing the noise
+//! stream. See `DESIGN.md` §15.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::aie::Aie;
+use crate::clock::SimClock;
 use crate::config::SocConfig;
 use crate::counters::{ClusterSample, TickSample, Trace};
 use crate::cpu::{Cluster, ThreadDemand};
 use crate::error::SocError;
-use crate::event::{DeviceId, EventKind, EventQueue, SimClock};
 use crate::gpu::Gpu;
 use crate::memory::Memory;
 use crate::sched::Scheduler;
@@ -66,40 +61,6 @@ pub fn stream_seed(study_seed: u64, unit_index: u64, run_index: u64) -> u64 {
 /// Bytes transferred per DRAM access (one cache line).
 const CACHE_LINE_BYTES: f64 = 64.0;
 
-/// Which simulation core [`Engine::run`] uses. Both produce bit-identical
-/// traces; they differ only in how much work they do per simulated second.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineMode {
-    /// Event-driven core (default): only ticks with scheduled events
-    /// execute the component models; quiescent stretches are sampled by
-    /// replication.
-    #[default]
-    Event,
-    /// Dense core: every tick executes every component model. Kept as the
-    /// executable specification the event core is gated against.
-    Dense,
-}
-
-impl EngineMode {
-    /// Resolve the mode from the `MWC_SOC_ENGINE` environment variable:
-    /// `dense` selects [`EngineMode::Dense`]; anything else (or unset)
-    /// selects the default event core.
-    pub fn from_env() -> Self {
-        match std::env::var("MWC_SOC_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("dense") => EngineMode::Dense,
-            _ => EngineMode::Event,
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineMode::Event => "event",
-            EngineMode::Dense => "dense",
-        }
-    }
-}
-
 /// The simulation engine: a configured SoC ready to run workloads.
 #[derive(Debug)]
 pub struct Engine {
@@ -111,7 +72,6 @@ pub struct Engine {
     storage: Storage,
     scheduler: Scheduler,
     rng: StdRng,
-    mode: EngineMode,
 }
 
 impl Engine {
@@ -159,26 +119,12 @@ impl Engine {
             storage,
             scheduler,
             rng: StdRng::seed_from_u64(seed),
-            mode: EngineMode::from_env(),
         })
     }
 
     /// The platform configuration this engine simulates.
     pub fn config(&self) -> &SocConfig {
         &self.config
-    }
-
-    /// The active simulation core.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Select the simulation core explicitly, overriding the
-    /// `MWC_SOC_ENGINE` environment resolution done at construction.
-    /// Both cores are bit-identical, so this is a performance knob (and
-    /// the seam the equivalence tests switch on), never a semantic one.
-    pub fn set_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
     }
 
     /// Reset all DVFS and contention state, and reseed the noise source.
@@ -216,9 +162,9 @@ impl Engine {
     /// [`SimClock`]).
     ///
     /// When `mwc-obs` collection is enabled the run is wrapped in a
-    /// `soc.run` span (fields: workload name, tick count, engine mode)
-    /// and the tick count feeds the `soc.ticks` counter; the event core
-    /// additionally reports `soc.ticks_stepped` / `soc.ticks_coasted`.
+    /// `soc.run` span (fields: workload name, tick count) and the tick
+    /// count feeds the `soc.ticks` counter and, with the same value,
+    /// `soc.ticks_stepped` (which perfbench's per-layer tick rows read).
     /// The simulation itself never reads any observability state, so
     /// traced and untraced runs are bit-identical.
     pub fn run(&mut self, workload: &dyn Workload) -> Trace {
@@ -226,14 +172,16 @@ impl Engine {
         let mut run_span = mwc_obs::span("soc.run");
         run_span.field("workload", workload.name());
         run_span.field("ticks", clock.ticks());
-        run_span.field("engine", self.mode.name());
         mwc_obs::metrics::counter_add("soc.ticks", clock.ticks());
+        mwc_obs::metrics::counter_add("soc.ticks_stepped", clock.ticks());
         mwc_obs::metrics::counter_add("soc.runs", 1);
 
-        let samples = match self.mode {
-            EngineMode::Event => self.run_event(workload, &clock),
-            EngineMode::Dense => self.run_dense(workload, &clock),
-        };
+        let mut samples = Vec::with_capacity(clock.ticks() as usize);
+        for tick in 0..clock.ticks() {
+            let mut demand = workload.demand_at(clock.t_norm(tick));
+            self.perturb(&mut demand);
+            samples.push(self.step(clock.time_s(tick), demand));
+        }
 
         if let Some(ns) = run_span.elapsed_ns() {
             mwc_obs::metrics::observe_duration_ns("soc.run_ns", ns);
@@ -243,113 +191,6 @@ impl Engine {
             tick_seconds: TICK_SECONDS,
             samples,
         }
-    }
-
-    /// The dense core: execute every component model on every tick. This
-    /// is the executable specification of the simulator's semantics; the
-    /// event core is gated bit-for-bit against it.
-    fn run_dense(&mut self, workload: &dyn Workload, clock: &SimClock) -> Vec<TickSample> {
-        let mut samples = Vec::with_capacity(clock.ticks() as usize);
-        for tick in 0..clock.ticks() {
-            let mut demand = workload.demand_at(clock.t_norm(tick));
-            self.perturb(&mut demand);
-            samples.push(self.step(clock.time_s(tick), demand));
-        }
-        samples
-    }
-
-    /// The event core: execute only ticks with scheduled events and
-    /// replicate samples across the quiescent stretches in between.
-    ///
-    /// A tick must execute ([`Engine::step`]) when any of these hold:
-    ///
-    /// * **demand change** — the workload's constancy hint
-    ///   ([`Workload::demand_hold_until`]) expires, so the demand must be
-    ///   re-sampled (scheduled via [`SimClock::boundary_tick`], which
-    ///   agrees bit-for-bit with per-tick re-sampling);
-    /// * **noise** — the held demand has CPU threads or GPU/AIE work, so
-    ///   [`Engine::perturb`] draws from the RNG every tick and skipping
-    ///   one would desynchronize the noise stream from the dense core;
-    /// * **device wake** — some device's DVFS governor has not reached
-    ///   its idle fixpoint, so ticking it still changes state.
-    ///
-    /// When none hold, a dense tick is a state-preserving identity that
-    /// consumes no randomness and reproduces the previous sample exactly
-    /// (memory and storage are stateless pure functions, and the
-    /// scheduler sees no runnable threads) — so the sampler materializes
-    /// the remaining samples by replicating the last one with an updated
-    /// timestamp, at zero model cost. This is what makes idle-heavy and
-    /// phase-sparse workloads cheap: cost scales with *activity*, not
-    /// duration.
-    fn run_event(&mut self, workload: &dyn Workload, clock: &SimClock) -> Vec<TickSample> {
-        let ticks = clock.ticks();
-        let mut samples: Vec<TickSample> = Vec::with_capacity(ticks as usize);
-        let mut queue = EventQueue::new();
-        let mut held_demand = Demand::idle();
-        let mut stepped: u64 = 0;
-        if ticks > 0 {
-            queue.schedule(0, EventKind::DemandChange);
-        }
-
-        while let Some(tick) = queue.next_tick() {
-            if tick >= ticks {
-                break;
-            }
-            let due = queue.pop_due(tick);
-            if due.demand_change {
-                let t_norm = clock.t_norm(tick);
-                held_demand = workload.demand_at(t_norm);
-                let boundary = clock.boundary_tick(tick, workload.demand_hold_until(t_norm));
-                if boundary < ticks {
-                    queue.schedule(boundary, EventKind::DemandChange);
-                }
-            }
-
-            let mut demand = held_demand.clone();
-            self.perturb(&mut demand);
-            samples.push(self.step(clock.time_s(tick), demand));
-            stepped += 1;
-
-            // Decide what must wake the model next.
-            if !held_demand.is_noise_free() {
-                // The RNG draws for this demand every tick; every tick of
-                // the hold interval must execute.
-                queue.schedule(tick + 1, EventKind::NoiseTick);
-            } else {
-                // No randomness in play: only devices still moving toward
-                // their fixpoints need further ticks. Memory and storage
-                // are stateless and never wake.
-                for (i, cluster) in self.clusters.iter().enumerate() {
-                    if !cluster.is_quiescent() {
-                        queue.schedule(tick + 1, EventKind::DeviceWake(DeviceId::Cluster(i)));
-                    }
-                }
-                if self.gpu.as_ref().is_some_and(|g| !g.is_quiescent()) {
-                    queue.schedule(tick + 1, EventKind::DeviceWake(DeviceId::Gpu));
-                }
-                if self.aie.as_ref().is_some_and(|a| !a.is_quiescent()) {
-                    queue.schedule(tick + 1, EventKind::DeviceWake(DeviceId::Aie));
-                }
-            }
-
-            // Coast: every tick before the next event reproduces the
-            // sample just taken (same fixpoint state, same inputs, zero
-            // RNG draws), so materialize those samples by replication.
-            let resume = queue.next_tick().unwrap_or(ticks).min(ticks);
-            if resume > tick + 1 {
-                if let Some(last) = samples.last().cloned() {
-                    for coast_tick in (tick + 1)..resume {
-                        let mut sample = last.clone();
-                        sample.time_s = clock.time_s(coast_tick);
-                        samples.push(sample);
-                    }
-                }
-            }
-        }
-
-        mwc_obs::metrics::counter_add("soc.ticks_stepped", stepped);
-        mwc_obs::metrics::counter_add("soc.ticks_coasted", ticks.saturating_sub(stepped));
-        samples
     }
 
     /// Apply seeded run-to-run noise to a demand.
@@ -766,16 +607,9 @@ mod tests {
         fn demand_at(&self, t_norm: f64) -> Demand {
             self.sampled.borrow_mut().push(t_norm);
             let mut d = Demand::idle();
-            // Noisy demand: forces the engine to sample every tick.
             d.cpu = CpuDemand::single_thread(0.5);
             d
         }
-    }
-
-    fn engine_in(mode: EngineMode) -> Engine {
-        let mut e = engine();
-        e.set_mode(mode);
-        e
     }
 
     #[test]
@@ -783,22 +617,18 @@ mod tests {
         // Regression: `(duration / TICK_SECONDS).round()` alone yields 0
         // ticks for any positive duration below half a tick, silently
         // contradicting the "non-positive duration => empty trace" doc.
-        for mode in [EngineMode::Event, EngineMode::Dense] {
-            let mut e = engine_in(mode);
-            let trace = e.run(&cpu_workload(0.8, TICK_SECONDS / 4.0));
-            assert_eq!(trace.samples.len(), 1, "mode {mode:?}");
-            let trace = e.run(&cpu_workload(0.8, 1e-9));
-            assert_eq!(trace.samples.len(), 1, "mode {mode:?}");
-        }
+        let mut e = engine();
+        let trace = e.run(&cpu_workload(0.8, TICK_SECONDS / 4.0));
+        assert_eq!(trace.samples.len(), 1);
+        let trace = e.run(&cpu_workload(0.8, 1e-9));
+        assert_eq!(trace.samples.len(), 1);
     }
 
     #[test]
     fn non_positive_duration_yields_empty_trace() {
-        for mode in [EngineMode::Event, EngineMode::Dense] {
-            let mut e = engine_in(mode);
-            assert!(e.run(&cpu_workload(0.8, 0.0)).samples.is_empty());
-            assert!(e.run(&cpu_workload(0.8, -2.0)).samples.is_empty());
-        }
+        let mut e = engine();
+        assert!(e.run(&cpu_workload(0.8, 0.0)).samples.is_empty());
+        assert!(e.run(&cpu_workload(0.8, -2.0)).samples.is_empty());
     }
 
     #[test]
@@ -806,82 +636,20 @@ mod tests {
         // Regression: rounding the tick count *up* used to let the last
         // tick's `t_norm` reach 1.0, outside `demand_at`'s documented
         // `[0, 1)` domain.
-        for mode in [EngineMode::Event, EngineMode::Dense] {
-            for duration in [1e-6, 0.04, 0.06, 0.14999, 1.0, 3.337] {
-                let probe = TNormProbe::new(duration);
-                let mut e = engine_in(mode);
-                let trace = e.run(&probe);
-                let sampled = probe.sampled.borrow();
-                assert!(!sampled.is_empty());
-                assert_eq!(trace.samples.len(), sampled.len(), "noisy: no coasting");
-                for &t in sampled.iter() {
-                    assert!(
-                        (0.0..1.0).contains(&t),
-                        "mode {mode:?}, duration {duration}: t_norm {t} out of domain"
-                    );
-                }
+        for duration in [1e-6, 0.04, 0.06, 0.14999, 1.0, 3.337] {
+            let probe = TNormProbe::new(duration);
+            let mut e = engine();
+            let trace = e.run(&probe);
+            let sampled = probe.sampled.borrow();
+            assert!(!sampled.is_empty());
+            assert_eq!(trace.samples.len(), sampled.len(), "one sample per tick");
+            for &t in sampled.iter() {
+                assert!(
+                    (0.0..1.0).contains(&t),
+                    "duration {duration}: t_norm {t} out of domain"
+                );
             }
         }
-    }
-
-    #[test]
-    fn event_core_matches_dense_core_bit_for_bit() {
-        let mut dense = engine_in(EngineMode::Dense);
-        let mut event = engine_in(EngineMode::Event);
-        // Constant busy workload (noisy every tick).
-        let w = cpu_workload(0.8, 5.0);
-        assert_eq!(dense.run(&w), event.run(&w));
-        // Fully idle workload (pure coasting after tick 0).
-        dense.reset(7);
-        event.reset(7);
-        let idle = ConstantWorkload::new("idle", 30.0, Demand::idle());
-        assert_eq!(dense.run(&idle), event.run(&idle));
-        // Idle with stateless-device demand (memory + io, no noise).
-        dense.reset(7);
-        event.reset(7);
-        let mut d = Demand::idle();
-        d.memory.footprint_mib = 512.0;
-        d.io = Some(crate::storage::IoDemand::sequential(200.0, 50.0));
-        let io = ConstantWorkload::new("io", 30.0, d);
-        assert_eq!(dense.run(&io), event.run(&io));
-    }
-
-    #[test]
-    fn event_core_coasts_the_idle_tail() {
-        // Busy then idle: after the ramp-down the event core must stop
-        // stepping. Observable without obs counters: a probe workload's
-        // demand_at is called once per *executed* demand change only, and
-        // the trace still has one sample per tick.
-        let mut e = engine_in(EngineMode::Event);
-        let idle = ConstantWorkload::new("idle", 60.0, Demand::idle());
-        let trace = e.run(&idle);
-        assert_eq!(trace.samples.len(), 600);
-        // All samples identical except the timestamp.
-        let first = &trace.samples[0];
-        for (i, s) in trace.samples.iter().enumerate() {
-            assert!((s.time_s - i as f64 * TICK_SECONDS).abs() < 1e-12);
-            let mut expect = first.clone();
-            expect.time_s = s.time_s;
-            assert_eq!(&expect, s, "sample {i} diverged while idle");
-        }
-    }
-
-    #[test]
-    fn mode_plumbing_and_names() {
-        let mut e = engine();
-        e.set_mode(EngineMode::Dense);
-        assert_eq!(e.mode(), EngineMode::Dense);
-        assert_eq!(EngineMode::Dense.name(), "dense");
-        assert_eq!(EngineMode::Event.name(), "event");
-        assert_eq!(EngineMode::default(), EngineMode::Event);
-    }
-
-    #[test]
-    fn event_determinism_same_seed_same_trace() {
-        let mut e1 = engine_in(EngineMode::Event);
-        let mut e2 = engine_in(EngineMode::Event);
-        let w = cpu_workload(0.7, 3.0);
-        assert_eq!(e1.run(&w), e2.run(&w));
     }
 
     #[test]

@@ -153,37 +153,22 @@ impl Governor {
         self.current_mhz
     }
 
-    /// The frequency one [`Governor::tick`] at the given utilization would
-    /// move to, without mutating any state. `tick` is defined in terms of
-    /// this, so the prediction is exact to the bit — which is what lets
-    /// the event engine treat `next_frequency(u) == current_mhz` as proof
-    /// that ticking the governor would be a no-op.
-    pub fn next_frequency(&self, utilization: f64) -> f64 {
-        match self.policy {
-            GovernorPolicy::Performance => return self.opps.max(),
-            GovernorPolicy::Powersave => return self.opps.min(),
-            GovernorPolicy::Schedutil | GovernorPolicy::Conservative => {}
-        }
-        let util = utilization.clamp(0.0, 1.0);
-        let raw_target =
-            (HEADROOM * util * self.opps.max()).clamp(self.opps.min(), self.opps.max());
-        let target = self.opps.snap_up(raw_target);
-        // Governors react within a few scheduling periods; close most of
-        // the gap each tick rather than jumping instantly.
-        self.current_mhz + (target - self.current_mhz) * self.ramp
-    }
-
-    /// Whether the governor has reached its fixpoint for the given
-    /// utilization: ticking it would reproduce the current frequency bit
-    /// for bit, so the tick can be skipped entirely.
-    pub fn is_settled_at(&self, utilization: f64) -> bool {
-        self.next_frequency(utilization) == self.current_mhz
-    }
-
     /// Advance one tick with the observed utilization in `[0, 1]`; returns
     /// the new operating frequency in MHz.
     pub fn tick(&mut self, utilization: f64) -> f64 {
-        self.current_mhz = self.next_frequency(utilization);
+        match self.policy {
+            GovernorPolicy::Performance => self.current_mhz = self.opps.max(),
+            GovernorPolicy::Powersave => self.current_mhz = self.opps.min(),
+            GovernorPolicy::Schedutil | GovernorPolicy::Conservative => {
+                let util = utilization.clamp(0.0, 1.0);
+                let raw_target =
+                    (HEADROOM * util * self.opps.max()).clamp(self.opps.min(), self.opps.max());
+                let target = self.opps.snap_up(raw_target);
+                // Governors react within a few scheduling periods; close
+                // most of the gap each tick rather than jumping instantly.
+                self.current_mhz += (target - self.current_mhz) * self.ramp;
+            }
+        }
         self.current_mhz
     }
 
@@ -326,52 +311,6 @@ mod tests {
         assert_eq!(g.frequency_mhz(), 3000.0);
         assert_eq!(g.policy(), GovernorPolicy::Performance);
         assert_eq!(GovernorPolicy::Performance.name(), "performance");
-    }
-
-    #[test]
-    fn next_frequency_predicts_tick_exactly() {
-        let mut g = Governor::for_range(300.0, 3000.0);
-        for (i, util) in [0.9, 0.9, 0.4, 0.0, 0.0, 0.7, 1.0, 0.2].iter().enumerate() {
-            let predicted = g.next_frequency(*util);
-            let actual = g.tick(*util);
-            assert_eq!(
-                predicted.to_bits(),
-                actual.to_bits(),
-                "prediction diverged at step {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn governor_settles_to_an_exact_fixpoint_at_idle() {
-        let mut g = Governor::for_range(300.0, 3000.0);
-        for _ in 0..30 {
-            g.tick(1.0);
-        }
-        assert!(!g.is_settled_at(0.0), "still ramping down");
-        for _ in 0..200 {
-            g.tick(0.0);
-        }
-        assert!(g.is_settled_at(0.0), "idle ramp must reach a fixpoint");
-        let before = g.frequency_mhz();
-        assert_eq!(g.tick(0.0).to_bits(), before.to_bits());
-    }
-
-    #[test]
-    fn fixed_policies_are_always_settled() {
-        let opps = OppTable::linear(300.0, 3000.0, 8);
-        let g = Governor::with_policy(opps.clone(), GovernorPolicy::Performance);
-        assert!(g.is_settled_at(0.0) && g.is_settled_at(1.0));
-        let g = Governor::with_policy(opps, GovernorPolicy::Powersave);
-        assert!(g.is_settled_at(0.0) && g.is_settled_at(1.0));
-    }
-
-    #[test]
-    fn freshly_reset_governor_is_settled_at_idle() {
-        let g = Governor::for_range(300.0, 3000.0);
-        // At the minimum OPP with zero utilization the target is the
-        // minimum OPP: the gap is exactly zero.
-        assert!(g.is_settled_at(0.0));
     }
 
     #[test]

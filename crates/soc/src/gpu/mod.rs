@@ -223,14 +223,6 @@ impl Gpu {
         }
     }
 
-    /// Whether an idle tick (no demand) would leave the GPU bit-identical:
-    /// the model's only evolving state is its DVFS governor, so quiescence
-    /// is the governor's zero-utilization fixpoint. The event engine uses
-    /// this to skip the GPU while it is idle and fully ramped down.
-    pub fn is_quiescent(&self) -> bool {
-        self.governor.is_settled_at(0.0)
-    }
-
     /// Reset DVFS state between benchmark runs.
     pub fn reset(&mut self) {
         self.governor.reset();
@@ -365,21 +357,6 @@ mod tests {
             l1_texture_misses_m: 0.0,
         };
         assert!((r.load(840.0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quiescence_tracks_the_idle_ramp() {
-        let mut g = gpu();
-        assert!(g.is_quiescent(), "fresh GPU rests at the floor OPP");
-        g.tick(Some(&GpuDemand::scene(0.9)), 0.1);
-        assert!(!g.is_quiescent(), "ramping after load");
-        for _ in 0..200 {
-            g.tick(None, 0.1);
-        }
-        assert!(g.is_quiescent());
-        let r1 = g.tick(None, 0.1);
-        let r2 = g.tick(None, 0.1);
-        assert_eq!(r1, r2, "idle ticks at the fixpoint are no-ops");
     }
 
     #[test]

@@ -50,12 +50,12 @@
 
 pub mod aie;
 pub mod cache;
+pub mod clock;
 pub mod config;
 pub mod counters;
 pub mod cpu;
 pub mod engine;
 pub mod error;
-pub mod event;
 pub mod freq;
 pub mod gpu;
 pub mod memory;
@@ -64,7 +64,7 @@ pub mod storage;
 pub mod workload;
 
 pub use config::SocConfig;
-pub use engine::{Engine, EngineMode};
+pub use engine::Engine;
 pub use error::SocError;
 pub use workload::{Demand, Workload};
 

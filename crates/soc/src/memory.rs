@@ -48,14 +48,6 @@ impl Memory {
         &self.config
     }
 
-    /// Whether skipping a tick would leave the model bit-identical. The
-    /// DRAM model is stateless — [`Memory::tick`] takes `&self` and is a
-    /// pure function of its inputs — so it is always quiescent; the event
-    /// engine never schedules a wakeup for it.
-    pub fn is_quiescent(&self) -> bool {
-        true
-    }
-
     /// Account for this tick's residency and traffic. `extra_mib` carries
     /// non-CPU footprints (GPU textures, AIE buffers); `dram_traffic_gbps`
     /// carries CPU-side DRAM traffic derived from cache misses.
@@ -129,19 +121,6 @@ mod tests {
         };
         let r = m.tick(&d, 0.0, 100.0);
         assert_eq!(r.bandwidth_utilization, 1.0);
-    }
-
-    #[test]
-    fn stateless_model_is_always_quiescent() {
-        let m = memory();
-        assert!(m.is_quiescent());
-        let d = MemoryDemand {
-            footprint_mib: 1024.0,
-            bandwidth_gbps: 10.0,
-        };
-        // Pure: repeated ticks with the same inputs give the same outputs.
-        assert_eq!(m.tick(&d, 100.0, 5.0), m.tick(&d, 100.0, 5.0));
-        assert!(m.is_quiescent());
     }
 
     #[test]

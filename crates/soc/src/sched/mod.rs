@@ -118,8 +118,7 @@ impl Scheduler {
         let mut assignments: Vec<Vec<ThreadDemand>> = vec![Vec::new(); self.clusters.len()];
         if demand.threads.is_empty() {
             // Nothing runnable: the full algorithm below would produce the
-            // same all-empty placement; skip its allocations on the idle
-            // path the event engine leans on.
+            // same all-empty placement; skip its allocations.
             return Placement { assignments };
         }
         let mut free: Vec<usize> = self.clusters.iter().map(|&(_, cores)| cores).collect();

@@ -75,14 +75,6 @@ impl Storage {
         &self.config
     }
 
-    /// Whether skipping a tick would leave the model bit-identical. The
-    /// storage model is stateless — [`Storage::tick`] takes `&self` and is
-    /// a pure function of its inputs — so it is always quiescent; the
-    /// event engine never schedules a wakeup for it.
-    pub fn is_quiescent(&self) -> bool {
-        true
-    }
-
     /// Serve the demanded IO for one tick. Demands beyond device limits
     /// saturate: the device runs 100% busy and delivers its peak rates.
     pub fn tick(&self, demand: Option<&IoDemand>) -> StorageTickResult {
@@ -144,16 +136,6 @@ mod tests {
         let s = storage();
         let r = s.tick(Some(&IoDemand::sequential(210.0, 0.0)));
         assert!((r.busy - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stateless_model_is_always_quiescent() {
-        let s = storage();
-        assert!(s.is_quiescent());
-        let d = IoDemand::random(500.0, 200.0);
-        // Pure: repeated ticks with the same inputs give the same outputs.
-        assert_eq!(s.tick(Some(&d)), s.tick(Some(&d)));
-        assert!(s.is_quiescent());
     }
 
     #[test]

@@ -31,16 +31,6 @@ impl Demand {
     pub fn idle() -> Self {
         Demand::default()
     }
-
-    /// Whether the engine's seeded run-to-run noise leaves this demand
-    /// untouched: noise perturbs CPU thread intensities and GPU/AIE
-    /// intensities, so a demand with no threads and no GPU/AIE work
-    /// consumes zero random draws per tick. The event engine relies on
-    /// this to coast over idle stretches without desynchronizing the RNG
-    /// stream from the dense engine.
-    pub fn is_noise_free(&self) -> bool {
-        self.cpu.threads.is_empty() && self.gpu.is_none() && self.aie.is_none()
-    }
 }
 
 /// A workload the engine can execute.
@@ -57,23 +47,6 @@ pub trait Workload {
 
     /// The demand at normalized time `t_norm ∈ [0, 1)`.
     fn demand_at(&self, t_norm: f64) -> Demand;
-
-    /// How long the demand at `t_norm` is guaranteed to stay constant: a
-    /// normalized time `hold` such that `demand_at(t)` returns a demand
-    /// equal (by `PartialEq`) to `demand_at(t_norm)` for every
-    /// `t ∈ [t_norm, hold)`. The event engine uses this hint to schedule
-    /// one demand-change event per constant phase instead of re-sampling
-    /// the workload every tick.
-    ///
-    /// The default returns `t_norm` itself — "no guarantee past this
-    /// instant" — which degrades the event engine to dense per-tick
-    /// sampling and is always correct. Implementations returning a larger
-    /// value (phase boundaries, or `1.0` for constant workloads) must
-    /// uphold the constancy contract or the event engine will diverge
-    /// from the dense one.
-    fn demand_hold_until(&self, t_norm: f64) -> f64 {
-        t_norm
-    }
 }
 
 /// A workload with a constant demand over a fixed duration; useful for
@@ -108,11 +81,6 @@ impl Workload for ConstantWorkload {
     fn demand_at(&self, _t_norm: f64) -> Demand {
         self.demand.clone()
     }
-
-    fn demand_hold_until(&self, _t_norm: f64) -> f64 {
-        // Constant by construction: the demand holds for the whole run.
-        1.0
-    }
 }
 
 #[cfg(test)]
@@ -137,44 +105,5 @@ mod tests {
         assert_eq!(w.duration_seconds(), 3.0);
         assert_eq!(w.demand_at(0.0), d);
         assert_eq!(w.demand_at(0.99), d);
-    }
-
-    #[test]
-    fn constant_workload_holds_for_the_whole_run() {
-        let w = ConstantWorkload::new("w", 3.0, Demand::idle());
-        assert_eq!(w.demand_hold_until(0.0), 1.0);
-        assert_eq!(w.demand_hold_until(0.73), 1.0);
-    }
-
-    #[test]
-    fn default_hold_gives_no_guarantee() {
-        struct Bare;
-        impl Workload for Bare {
-            fn name(&self) -> &str {
-                "bare"
-            }
-            fn duration_seconds(&self) -> f64 {
-                1.0
-            }
-            fn demand_at(&self, _t_norm: f64) -> Demand {
-                Demand::idle()
-            }
-        }
-        assert_eq!(Bare.demand_hold_until(0.25), 0.25);
-    }
-
-    #[test]
-    fn noise_free_demand_detection() {
-        assert!(Demand::idle().is_noise_free());
-        let mut d = Demand::idle();
-        d.io = Some(crate::storage::IoDemand::sequential(100.0, 0.0));
-        d.memory.footprint_mib = 512.0;
-        assert!(d.is_noise_free(), "io/memory demand draws no noise");
-        let mut d = Demand::idle();
-        d.cpu = CpuDemand::single_thread(0.5);
-        assert!(!d.is_noise_free());
-        let mut d = Demand::idle();
-        d.gpu = Some(crate::gpu::GpuDemand::scene(0.1));
-        assert!(!d.is_noise_free());
     }
 }

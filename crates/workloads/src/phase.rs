@@ -92,19 +92,6 @@ impl Workload for PhasedWorkload {
     fn demand_at(&self, t_norm: f64) -> Demand {
         self.phase_at(t_norm).1.demand.clone()
     }
-
-    fn demand_hold_until(&self, t_norm: f64) -> f64 {
-        // Each phase presents one constant demand, so the demand at
-        // `t_norm` holds (at least) until the active phase's exclusive end
-        // boundary — exactly the comparison `phase_at` makes. The last
-        // phase covers the remainder of the run.
-        let (idx, _) = self.phase_at(t_norm);
-        if idx + 1 == self.phases.len() {
-            1.0
-        } else {
-            self.boundaries[idx]
-        }
-    }
 }
 
 /// Builder for [`PhasedWorkload`].
@@ -214,37 +201,6 @@ mod tests {
         assert_eq!(w.name(), "w");
         assert_eq!(w.duration_seconds(), 100.0);
         assert_eq!(w.phases().len(), 3);
-    }
-
-    #[test]
-    fn hold_hint_reaches_the_phase_boundary() {
-        let w = three_phase();
-        assert_eq!(w.demand_hold_until(0.0), 0.25);
-        assert_eq!(w.demand_hold_until(0.1), 0.25);
-        assert_eq!(w.demand_hold_until(0.25), 0.75);
-        assert_eq!(w.demand_hold_until(0.5), 0.75);
-        assert_eq!(w.demand_hold_until(0.75), 1.0, "last phase holds to 1");
-        assert_eq!(w.demand_hold_until(0.99), 1.0);
-    }
-
-    #[test]
-    fn hold_hint_upholds_the_constancy_contract() {
-        let w = three_phase();
-        for &t in &[0.0, 0.2, 0.26, 0.5, 0.74999, 0.75, 0.9] {
-            let hold = w.demand_hold_until(t);
-            let d = w.demand_at(t);
-            assert!(hold > t, "hold must extend past the sample point");
-            // Probe the interval, including just inside the far end.
-            let span = hold - t;
-            for k in 0..10 {
-                let probe = t + span * (k as f64) / 10.0;
-                assert_eq!(w.demand_at(probe), d, "t={t} probe={probe}");
-            }
-            let just_inside = f64::from_bits(hold.to_bits() - 1);
-            if just_inside > t {
-                assert_eq!(w.demand_at(just_inside), d);
-            }
-        }
     }
 
     #[test]

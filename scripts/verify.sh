@@ -80,24 +80,15 @@ if [ ! -s "$trace_tmp" ]; then
     echo "error: MWC_TRACE=$trace_tmp produced no trace file" >&2
     exit 1
 fi
+# A trace with zero spans is still a non-empty (42-byte) Chrome JSON
+# file: require the study's root span so a run that recorded nothing
+# cannot pass.
+if ! grep -q '"name":"pipeline.study"' "$trace_tmp"; then
+    echo "error: MWC_TRACE=$trace_tmp holds no pipeline.study span" >&2
+    exit 1
+fi
 rm -f "$trace_tmp"
 echo "    digests match: $digest_off"
-
-echo "==> engine equivalence (dense vs event-driven core digest)"
-# The event-driven core is the default; forcing the dense per-tick core
-# must reproduce the exact same study digest — the bit-identity contract
-# from tests/event_engine.rs, re-checked end to end on the release binary.
-digest_dense=$(MWC_CACHE=off MWC_SOC_ENGINE=dense ./target/release/mwc profile \
-    | awk '/^study digest:/ { print $3 }') || exit 1
-if [ -z "$digest_dense" ]; then
-    echo "error: profile binary printed no study digest under MWC_SOC_ENGINE=dense" >&2
-    exit 1
-fi
-if [ "$digest_off" != "$digest_dense" ]; then
-    echo "error: engine cores diverged: digest $digest_off (event) vs $digest_dense (dense)" >&2
-    exit 1
-fi
-echo "    digests match: $digest_dense"
 
 echo "==> telemetry neutrality (wide-event logs + debug ring vs all-off digest)"
 # Same rule for the PR-8 telemetry sinks: debug-level structured logging
@@ -305,28 +296,6 @@ if [ ! -s "$bench_json" ]; then
 fi
 rm -f "$bench_json"
 echo "    kernels bench ran and wrote a JSON report"
-
-echo "==> simulator-core bench smoke pass (MWC_BENCH_FAST=1)"
-soc_bench_json="$PWD/target/verify-bench-soc.json"
-rm -f "$soc_bench_json"
-MWC_BENCH_FAST=1 MWC_BENCH_JSON="$soc_bench_json" \
-    cargo bench -q -p mwc-bench --bench soc_engine >/dev/null || {
-    echo "error: soc_engine bench smoke pass failed" >&2
-    exit 1
-}
-if [ ! -s "$soc_bench_json" ]; then
-    echo "error: soc_engine bench smoke pass wrote no $soc_bench_json" >&2
-    exit 1
-fi
-rm -f "$soc_bench_json"
-echo "    soc_engine bench ran and wrote a JSON report"
-
-echo "==> f32-kernels feature (build + tests)"
-cargo test -q -p mwc-analysis --features f32-kernels || {
-    echo "error: mwc-analysis tests failed under --features f32-kernels" >&2
-    exit 1
-}
-echo "    f32 kernel path builds and passes its tolerance tests"
 
 echo "==> server smoke gate (boot, load, clean drain, zero panics)"
 cargo build --release -p mwc-server --bins || exit $?

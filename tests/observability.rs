@@ -154,9 +154,16 @@ fn pipeline_emits_its_contracted_metrics() {
             .map(|(_, m)| m.clone())
     };
 
-    match get("soc.ticks") {
-        Some(Metric::Counter(ticks)) => assert!(ticks > 0, "simulation ticked"),
+    let ticks = match get("soc.ticks") {
+        Some(Metric::Counter(ticks)) => ticks,
         other => panic!("soc.ticks must be a counter, got {other:?}"),
+    };
+    assert!(ticks > 0, "simulation ticked");
+    // perfbench's per-layer `soc.sim_ticks` and `soc.ns_per_tick` rows are
+    // derived from this counter: every tick is stepped.
+    match get("soc.ticks_stepped") {
+        Some(Metric::Counter(stepped)) => assert_eq!(stepped, ticks, "every tick is stepped"),
+        other => panic!("soc.ticks_stepped must be a counter, got {other:?}"),
     }
     match get("capture.runs_used") {
         Some(Metric::Counter(runs)) => {

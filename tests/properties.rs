@@ -62,10 +62,8 @@ proptest! {
     }
 
     // ---------- columnar kernels vs scalar references ----------
-    // The chunked kernels are layout rewrites, not numeric rewrites: on the
-    // default f64 path every output must match the scalar per-pair /
-    // per-column code bit for bit. (The opt-in `f32-kernels` feature
-    // deliberately breaks this; these tests cover the default build.)
+    // The chunked kernels are layout rewrites, not numeric rewrites: every
+    // output must match the scalar per-pair / per-column code bit for bit.
 
     #[test]
     fn columnar_pairwise_is_bit_identical_to_scalar(m in matrix_strategy(12, 5)) {
@@ -710,7 +708,7 @@ impl mwc_soc::Workload for TNormRecorder {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // ---------- simulation clock and engine-core equivalence ----------
+    // ---------- simulation clock ----------
 
     #[test]
     fn any_positive_duration_samples_in_domain(
@@ -720,18 +718,12 @@ proptest! {
         log_duration in -7.0f64..2.0,
         nudge in 0.0f64..1.0,
         seed in 0u64..50,
-        mode_sel in 0u8..2,
     ) {
         let duration = 10.0f64.powf(log_duration) * (1.0 + nudge);
         let mut d = Demand::idle();
-        d.cpu = CpuDemand::single_thread(0.6); // noisy: no coasting, every tick sampled
+        d.cpu = CpuDemand::single_thread(0.6);
         let w = TNormRecorder::new(duration, d);
         let mut engine = Engine::new(SocConfig::snapdragon_888(), seed).expect("preset");
-        engine.set_mode(if mode_sel == 0 {
-            mwc_soc::EngineMode::Dense
-        } else {
-            mwc_soc::EngineMode::Event
-        });
         let trace = engine.run(&w);
         // Positive duration: never an empty trace, and exactly the clock's
         // tick count.
@@ -742,49 +734,5 @@ proptest! {
         for &t in w.sampled.borrow().iter() {
             prop_assert!((0.0..1.0).contains(&t), "t_norm {} out of [0, 1) at duration {}", t, duration);
         }
-    }
-
-    #[test]
-    fn event_core_matches_dense_on_random_phased_workloads(
-        // Three raw values per phase: weight, intensity, kind selector
-        // (the proptest stand-in has no tuple strategies).
-        raw in prop::collection::vec(0.0f64..1.0, 3..=18),
-        duration in 0.5f64..20.0,
-        seed in 0u64..100,
-    ) {
-        use mwc_workloads::phase::PhasedWorkload;
-
-        // Phase menu: idle (pure coasting), CPU-noisy, GPU-noisy and
-        // stateless-device-only phases, mixed in random order — the
-        // exact interleavings the event scheduler must survive.
-        let mut b = PhasedWorkload::builder("prop-phased", duration);
-        for (i, chunk) in raw.chunks_exact(3).enumerate() {
-            let (weight, intensity, kind) =
-                (0.2 + 2.8 * chunk[0], chunk[1], (chunk[2] * 4.0) as u8);
-            let mut d = Demand::idle();
-            match kind {
-                0 => {} // idle
-                1 => d.cpu = CpuDemand::single_thread(intensity),
-                2 => d.gpu = Some(GpuDemand::scene(intensity)),
-                _ => {
-                    d.memory.footprint_mib = 256.0 + 1000.0 * intensity;
-                    d.io = Some(mwc_soc::storage::IoDemand::sequential(
-                        500.0 * intensity,
-                        100.0 * intensity,
-                    ));
-                }
-            }
-            b = b.phase(format!("p{i}"), weight, d);
-        }
-        let w = b.build();
-
-        let mut dense = Engine::new(SocConfig::snapdragon_888(), seed).expect("preset");
-        dense.set_mode(mwc_soc::EngineMode::Dense);
-        let mut event = Engine::new(SocConfig::snapdragon_888(), seed).expect("preset");
-        event.set_mode(mwc_soc::EngineMode::Event);
-        let td = dense.run(&w);
-        let te = event.run(&w);
-        prop_assert_eq!(td.samples.len(), te.samples.len());
-        prop_assert_eq!(td, te);
     }
 }
